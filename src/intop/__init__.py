@@ -11,9 +11,9 @@ from .basis import (ExtrapolationWarning, IntervalMap, QuadratureBasis,
 from .convolve import (ControlResult, ControlSpec, ConvolutionProblem,
                        control_demo, control_inverse, control_response,
                        convolve, damped_bessel_symbol)
-from .errors import (IllConditionedError, NonContractionError, NumericalError,
-                     OracleError, PoleEvaluationError, QuadratureAccuracyError,
-                     SingularDesignError)
+from .errors import (IllConditionedError, NodeComputationError,
+                     NonContractionError, NumericalError, OracleError,
+                     PoleEvaluationError, SingularDesignError)
 from .intmat import (EigenFactorization, IntegrationMatrices, ScaledMatrix,
                      ScalarSymbol, apply_real, build_integration_matrices,
                      eigen_factorize, matrix_apply, matrix_function, scale)

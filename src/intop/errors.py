@@ -6,7 +6,7 @@ distinct exit code; bad arguments stay plain ValueError.
 
 __all__ = [
     "NumericalError",
-    "QuadratureAccuracyError",
+    "NodeComputationError",
     "IllConditionedError",
     "PoleEvaluationError",
     "NonContractionError",
@@ -19,8 +19,8 @@ class NumericalError(Exception):
     """A computation failed to meet its accuracy or stability contract."""
 
 
-class QuadratureAccuracyError(NumericalError):
-    """An integration-matrix entry did not converge to the entry tolerance."""
+class NodeComputationError(NumericalError):
+    """Gauss nodes came out unordered or outside (-1, 1)."""
 
 
 class IllConditionedError(NumericalError):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from intop.basis import (ExtrapolationWarning, IntervalMap, WeightFamily,
                          build_basis, interpolate, lagrange_cardinal,
@@ -22,6 +24,15 @@ def test_chebyshev_first_closed_form():
     expect = np.cos((2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n))
     np.testing.assert_allclose(bas.nodes, np.sort(expect), atol=1e-13)
     np.testing.assert_allclose(bas.gauss_weights, math.pi / n, atol=1e-13)
+
+
+def test_nodes_match_scipy_at_two_thousand():
+    # the monic Newton polish overflowed here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bas = build_basis(WeightFamily.chebyshev_first(), 2000)
+    ref_x, _ = roots_jacobi(2000, -0.5, -0.5)
+    np.testing.assert_allclose(bas.nodes, ref_x, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("family", [

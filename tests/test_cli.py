@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import intop.basis
 from intop.cli import main
 
 
@@ -103,3 +105,30 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("family, n", [("chebyshev1", 60),
+                                       ("jacobi:-0.75,1.49", 52)])
+def test_weighted_matrices_at_large_n(tmp_path, family, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "matrices", "--family", family, "--n", str(n))
+    assert code == 0
+    assert len(text.splitlines()) == 2 + 2 * n * n
+
+
+def test_weighted_conjecture_scan_to_sixty(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "conjecture", "--family", "chebyshev1",
+                         "--n-max", "60")
+    assert code == 0
+    assert json.loads(text)["inconclusive"] == []
+
+
+def test_node_failure_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(intop.basis, "eigh_tridiagonal",
+                        lambda d, e, eigvals_only: np.zeros(d.size))
+    code, _ = run(tmp_path, "matrices", "--n", "4")
+    assert code == 2
+    assert "node computation failed" in capsys.readouterr().err

@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.special import betainc
 
 from intop.basis import (IntervalMap, WeightFamily, build_basis,
-                         lagrange_cardinal)
+                         lagrange_cardinal, recurrence_coefficients)
 from intop.errors import IllConditionedError, PoleEvaluationError
-from intop.intmat import (ScalarSymbol, ScaledMatrix, apply_real,
-                          build_integration_matrices, eigen_factorize,
-                          matrix_apply, matrix_function, scale)
+from intop.intmat import (ScalarSymbol, ScaledMatrix, _incomplete_beta,
+                          apply_real, build_integration_matrices,
+                          eigen_factorize, matrix_apply, matrix_function, scale)
 from intop.oracle import QuadratureRequest, adaptive_integrate
 
 
@@ -78,6 +81,53 @@ def test_entries_match_quadrature_oracle():
                 left_exponent=family.beta))
             # endpoint singularity at -1 limits the oracle itself to ~1e-9
             assert mats.plus[j, k] == pytest.approx(val, abs=5e-9), (j, k)
+
+
+# Jacobi exponents in (-1, 2). Within 1e-3 of -1 the outer Gauss nodes sit
+# within rounding of +-1, where a float reference point u = (1 + x)/2 has
+# itself lost the digits being checked, so the strategies stop there.
+EXPONENTS = st.floats(-0.999, 1.999)
+ORDERS = st.integers(1, 60)
+
+
+def _jacobi_plus(alpha, beta, n):
+    family = WeightFamily.jacobi(alpha, beta)
+    bas = build_basis(family, n)
+    _, _, mu0 = recurrence_coefficients(family, 1)
+    return bas, build_integration_matrices(bas).plus, mu0
+
+
+@given(EXPONENTS, EXPONENTS, ORDERS)
+def test_row_sums_are_the_running_mass(alpha, beta, n):
+    # A+ 1 = int_{-1}^{x_j} w = mu0 I_{(1+x_j)/2}(beta+1, alpha+1)
+    bas, plus, mu0 = _jacobi_plus(alpha, beta, n)
+    running = mu0 * betainc(beta + 1.0, alpha + 1.0, 0.5 * (1.0 + bas.nodes))
+    np.testing.assert_allclose(plus.sum(axis=1), running, rtol=0.0,
+                               atol=1e-12 * mu0)
+
+
+@settings(max_examples=60)
+@given(EXPONENTS, EXPONENTS, ORDERS, st.data())
+def test_plus_is_exact_on_monomials(alpha, beta, n, data):
+    k = data.draw(st.integers(0, n - 1), label="k")
+    j = data.draw(st.integers(0, n - 1), label="j")
+    bas, plus, mu0 = _jacobi_plus(alpha, beta, n)
+    # int_{-1}^{x_j} t^k w(t) dt in r = (1 + t)^(beta + 1), which removes the
+    # endpoint singularity before mpmath's tanh-sinh rule sees it
+    with mpmath.workdps(30):
+        e = 1 / mpmath.mpf(beta + 1.0)
+        top = (1 + mpmath.mpf(bas.nodes[j])) ** (beta + 1.0)
+        ref = float(e * mpmath.quad(lambda r: (r ** e - 1) ** k * (2 - r ** e) ** alpha,
+                                    [0, top]))
+    assert abs(plus[j] @ bas.nodes ** k - ref) <= 1e-12 * mu0
+
+
+@given(st.floats(0.001, 2.999), st.floats(0.001, 2.999),
+       st.one_of(st.floats(0.0, 1e-3), st.floats(0.499, 0.501),
+                 st.floats(0.999, 1.0)))
+def test_incomplete_beta_matches_scipy(p, q, u):
+    got = float(_incomplete_beta(p, q, u, 1.0 - u))
+    assert got == pytest.approx(betainc(p, q, u), rel=0.0, abs=1e-14)
 
 
 def test_side_accessor_and_validation():
