@@ -22,7 +22,7 @@ from .invert import (InversionProblem, fourier_demo, fourier_invert,
 from .ode import (ChainResult, OdeProblem, PicardResult, hermite_refine,
                   picard_solve, restart_extend, tangent_demo)
 from .oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
-                     direct_convolution, load_fixtures, reference_run)
+                     direct_convolution, load_fixtures, running_integral)
 from .report import SolveReport, format_float
 from .verify import (ChainReport, ConjectureReport, HalfLineReport,
                      IdentityReport, NormBoundReport, RangeSample,

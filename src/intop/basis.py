@@ -142,14 +142,18 @@ def recurrence_coefficients(family: WeightFamily, m: int):
     Returns (a, b, mu0) with a[k], b[k] for k < m and mu0 the weight's total
     mass; b[0] is set to mu0 by convention. Closed forms for the Jacobi
     recurrence, with the k = 1 special case that removes the 0/0 when
-    alpha + beta = -1.
+    alpha + beta = -1. Raises NodeComputationError when mu0 overflows.
     """
     if m < 1:
         raise ValueError("need at least one recurrence coefficient")
     al, be = family.alpha, family.beta
     s = al + be
-    mu0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(al + 1.0)
-                   + math.lgamma(be + 1.0) - math.lgamma(s + 2.0))
+    try:
+        mu0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(al + 1.0)
+                       + math.lgamma(be + 1.0) - math.lgamma(s + 2.0))
+    except OverflowError:
+        raise NodeComputationError(
+            f"total mass of {family.label} overflows double precision") from None
     a = np.zeros(m)
     b = np.zeros(m)
     a[0] = (be - al) / (s + 2.0)
@@ -189,8 +193,8 @@ def build_basis(family: WeightFamily, n: int) -> QuadratureBasis:
     for n = 1..3000 (legendre, chebyshev1, gegenbauer:0.8 and three jacobi
     pairs with exponents in [-0.95, 1.9]): nodes within 6e-16 of
     scipy.special.roots_jacobi, weights within 1e-11 relative up to n = 60
-    and 1e-5 at n = 3000. Raises
-    NodeComputationError if the nodes come out unordered or leave (-1, 1).
+    and 1e-5 at n = 3000. Raises NodeComputationError if the nodes come out
+    unordered or leave (-1, 1), or if the weight's total mass overflows.
     """
     if n < 1:
         raise ValueError("n must be positive")

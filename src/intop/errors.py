@@ -20,7 +20,8 @@ class NumericalError(Exception):
 
 
 class NodeComputationError(NumericalError):
-    """Gauss nodes came out unordered or outside (-1, 1)."""
+    """Gauss rule not representable in double precision: nodes unordered or
+    outside (-1, 1), or a total weight mass that overflows."""
 
 
 class IllConditionedError(NumericalError):

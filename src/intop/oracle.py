@@ -1,10 +1,11 @@
 """Independent reference computations used to cross-check the collocation path.
 
-Nothing in here touches the integration matrices: quadrature is plain adaptive
-bisection with Gauss rules, the Bessel evaluation is series/asymptotic, and
-convolutions are integrated pointwise. Reference pipeline runs (reference_run)
-are the one exception; they re-run a demo pipeline at higher order and are
-imported lazily to keep this module otherwise dependency-free.
+Nothing in here touches the integration matrices. Quadrature is one adaptive
+bisection with Gauss rules over a list of breakpoints, in the manner of
+QUADPACK's qagp: adaptive_integrate gives a definite integral, and
+running_integral gives int_a^x f at many x from a single bisection. The
+Bessel evaluation is series/asymptotic, and convolutions are integrated
+pointwise.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ __all__ = [
     "adaptive_integrate",
     "bessel_j0",
     "direct_convolution",
-    "reference_run",
     "load_fixtures",
+    "running_integral",
 ]
 
 _GAUSS_LO = np.polynomial.legendre.leggauss(10)
@@ -74,8 +75,7 @@ def _panel(f, lo: float, hi: float):
     return v_hi, abs(v_hi - v_lo), rad * np.sum(_GAUSS_HI[1] * np.abs(f_hi))
 
 
-def _heap_value(heap):
-    vals = [item[5] for item in heap]
+def _fsum(vals):
     value = math.fsum(np.real(vals))
     if any(np.iscomplexobj(v) for v in vals):
         value = value + 1j * math.fsum(np.imag(vals))
@@ -85,17 +85,24 @@ def _heap_value(heap):
 def _stall(reason: str, heap, total_err: float, tol: float, total_mag: float):
     return OracleError(
         f"adaptive quadrature {reason} after {len(heap)} panels (value "
-        f"{_heap_value(heap):.16g}, error estimate {total_err:.3e}, tol "
-        f"{tol:.3e}, roundoff floor {_ROUNDOFF * total_mag:.3e})")
+        f"{_fsum([item[5] for item in heap]):.16g}, error estimate {total_err:.3e}, "
+        f"tol {tol:.3e}, roundoff floor {_ROUNDOFF * total_mag:.3e})")
 
 
-def _adaptive(f, a: float, b: float, tol: float):
-    if a == b:
-        return 0.0, 0.0
-    val, err, mag = _panel(f, a, b)
+def _adaptive(f, edges, tol: float):
+    """Bisect one heap seeded with a panel per gap between consecutive edges
+    until the error estimate summed over all gaps is at or below
+    max(tol, roundoff floor). Returns (value of each gap, summed estimate).
+    """
     tie = itertools.count()
-    heap = [(-err, next(tie), a, b, 0, val, mag)]
-    total_err, total_mag = err, mag
+    heap = []
+    for gap, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if lo < hi:
+            val, err, mag = _panel(f, lo, hi)
+            heap.append((-err, next(tie), lo, hi, 0, val, mag, gap))
+    heapq.heapify(heap)
+    total_err = math.fsum(-item[0] for item in heap)
+    total_mag = math.fsum(item[6] for item in heap)
     while total_err > max(tol, _ROUNDOFF * total_mag):
         if len(heap) > _MAX_INTERVALS:
             raise _stall(f"exceeded {_MAX_INTERVALS} panels", heap,
@@ -104,15 +111,18 @@ def _adaptive(f, a: float, b: float, tol: float):
             lo, hi = heap[0][2:4]
             raise _stall(f"stalled at depth {_MAX_DEPTH} on [{lo!r}, {hi!r}]",
                          heap, total_err, tol, total_mag)
-        neg_err, _, lo, hi, depth, v, m = heapq.heappop(heap)
+        neg_err, _, lo, hi, depth, v, m, gap = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         v1, e1, m1 = _panel(f, lo, mid)
         v2, e2, m2 = _panel(f, mid, hi)
-        heapq.heappush(heap, (-e1, next(tie), lo, mid, depth + 1, v1, m1))
-        heapq.heappush(heap, (-e2, next(tie), mid, hi, depth + 1, v2, m2))
+        heapq.heappush(heap, (-e1, next(tie), lo, mid, depth + 1, v1, m1, gap))
+        heapq.heappush(heap, (-e2, next(tie), mid, hi, depth + 1, v2, m2, gap))
         total_err += e1 + e2 + neg_err
         total_mag += m1 + m2 - m
-    return _heap_value(heap), total_err
+    parts = [[] for _ in range(len(edges) - 1)]
+    for item in heap:
+        parts[item[7]].append(item[5])
+    return [_fsum(vals) for vals in parts], total_err
 
 
 def _desingularized(f, a: float, b: float, exponent: float, left: bool):
@@ -126,12 +136,13 @@ def _desingularized(f, a: float, b: float, exponent: float, left: bool):
     p = 1.0 / (1.0 + exponent)
     upper = span ** (1.0 + exponent)
     # u**p can round a + u**p onto the endpoint itself once u**p < ulp(a);
-    # keep evaluations one float inside so singular factors stay finite.
+    # keep evaluations one float inside so singular factors stay finite, and
+    # at most b, which running_integral sets to its largest point.
     if left:
         edge = np.nextafter(a, b)
 
         def g(u):
-            return f(np.maximum(a + u ** p, edge)) * p * u ** (p - 1.0)
+            return f(np.clip(a + u ** p, edge, b)) * p * u ** (p - 1.0)
     else:
         edge = np.nextafter(b, a)
 
@@ -162,14 +173,38 @@ def adaptive_integrate(request: QuadratureRequest):
         mid = 0.5 * (a + b)
         g1, lo1, hi1 = _desingularized(f, a, mid, request.left_exponent, left=True)
         g2, lo2, hi2 = _desingularized(f, mid, b, request.right_exponent, left=False)
-        v1, e1 = _adaptive(g1, lo1, hi1, 0.5 * request.tol)
-        v2, e2 = _adaptive(g2, lo2, hi2, 0.5 * request.tol)
+        (v1,), e1 = _adaptive(g1, (lo1, hi1), 0.5 * request.tol)
+        (v2,), e2 = _adaptive(g2, (lo2, hi2), 0.5 * request.tol)
         return v1 + v2, e1 + e2
     if request.left_exponent is not None:
         f, a, b = _desingularized(f, a, b, request.left_exponent, left=True)
     elif request.right_exponent is not None:
         f, a, b = _desingularized(f, a, b, request.right_exponent, left=False)
-    return _adaptive(f, a, b, request.tol)
+    (value,), err = _adaptive(f, (a, b), request.tol)
+    return value, err
+
+
+def running_integral(f, a: float, points, tol: float,
+                     left_exponent: float | None = None):
+    """int_a^x f at every x of the 1-d points, returned in the caller's order.
+
+    The sorted points are breakpoints of one bisection over [a, max x], and
+    the values are cumulative sums of the gap values (0 for x <= a). The
+    stopping rule bounds the error estimate summed over all gaps, so every
+    value meets tol or the roundoff floor. left_exponent tags an (x - a)^g
+    singularity as in QuadratureRequest; it is substituted away once for the
+    whole range, and f is never evaluated beyond the largest point.
+    """
+    if tol <= 0.0:
+        raise ValueError("tolerance must be positive")
+    x = np.maximum(np.asarray(points, dtype=np.float64), a)
+    order = np.argsort(x)
+    edges = np.concatenate(([a], x[order]))
+    if left_exponent is not None:
+        f, _, _ = _desingularized(f, a, edges[-1], left_exponent, left=True)
+        edges = (edges - a) ** (1.0 + left_exponent)
+    values, _ = _adaptive(f, edges, tol)
+    return np.cumsum(values)[np.argsort(order)]
 
 
 # Hankel coefficients for the large-argument form of J0: h[m+1] = -h[m]*(2m+1)^2/(4(m+1)).
@@ -252,25 +287,6 @@ def direct_convolution(kernel, g, side, imap, points, tol: float = 1e-10):
         val, _ = adaptive_integrate(QuadratureRequest(f, lo, hi, tol))
         out[i] = val
     return out
-
-
-_PIPELINES = ("ft_invert", "lt_invert", "control", "ode", "wiener_hopf")
-
-
-def reference_run(pipeline: str, n_ref: int = 11):
-    """Re-run a named demo pipeline at higher order; returns its SolveReport."""
-    if pipeline not in _PIPELINES:
-        raise ValueError(f"unknown pipeline {pipeline!r}; expected one of {_PIPELINES}")
-    from . import convolve, invert, ode, wiener_hopf
-    if pipeline == "ft_invert":
-        return invert.fourier_demo(n=n_ref)
-    if pipeline == "lt_invert":
-        return invert.laplace_demo(n=n_ref)
-    if pipeline == "control":
-        return convolve.control_demo(n=n_ref)
-    if pipeline == "ode":
-        return ode.tangent_demo(n=n_ref)
-    return wiener_hopf.exp_kernel_demo(n=n_ref)
 
 
 def load_fixtures() -> dict:

@@ -88,11 +88,3 @@ class SolveReport:
                    "fine": {"t": list(self.fine_t), "exact": list(self.fine_exact),
                             "computed": list(self.fine_computed)}}
         return json.dumps(_clean(payload), sort_keys=True, indent=1) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.csv_text())
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.json_text())

@@ -2,8 +2,10 @@
 
 Every check here recomputes its quantities from scratch with the adaptive
 oracle (or with plain dense eigensolves for the scans); nothing reuses the
-matrix pipelines being verified. Randomized suites draw from a fixed default
-seed which is recorded in the returned reports.
+matrix pipelines being verified. An inner indefinite integral at the
+abscissae of an outer rule is one running_integral call per evaluation of
+the outer integrand, not one quadrature per abscissa. Randomized suites draw
+from a fixed default seed which is recorded in the returned reports.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from numpy.polynomial import polynomial as P
 from .basis import IntervalMap, WeightFamily, build_basis
 from .errors import NumericalError
 from .intmat import ScaledMatrix, build_integration_matrices, scale
-from .oracle import QuadratureRequest, adaptive_integrate
+from .oracle import QuadratureRequest, adaptive_integrate, running_integral
 from .report import _clean
 
 __all__ = [
@@ -76,16 +78,8 @@ def check_positivity_identity(g, interval, tol: float = 1e-9) -> IdentityReport:
     """
     a, b = (float(interval[0]), float(interval[1]))
     inner_tol = tol * 1e-3 / max(b - a, 1.0)
-
-    def cumulative(x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        out = np.empty(x.shape, dtype=np.complex128)
-        for i, xi in enumerate(x):
-            out[i] = _integral(g, a, float(xi), inner_tol) if xi > a else 0.0
-        return out
-
-    pairing = _integral(lambda x: np.conjugate(cumulative(x)) * np.asarray(g(x)),
-                        a, b, tol * 1e-1)
+    pairing = _integral(lambda x: np.conjugate(running_integral(g, a, x, inner_tol))
+                        * np.asarray(g(x)), a, b, tol * 1e-1)
     total = _integral(g, a, b, inner_tol)
     return IdentityReport("re_cumulative_pairing", float(np.real(pairing)),
                           0.5 * abs(total) ** 2, tol)
@@ -279,33 +273,19 @@ def check_integral_chain(f, weight, interval, tol: float = 1e-9) -> ChainReport:
         x = imap.inverse(s)
         return np.asarray(w(x)) * np.asarray(f(x))
 
-    def cumulative_mapped(s):
-        s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        out = np.empty(s.shape, dtype=np.complex128)
-        for i, si in enumerate(s):
-            out[i] = _integral(wf_mapped, a, float(si), inner_tol,
-                               left=lexp) if si > a else 0.0
-        return out
-
-    lhs = abs(_integral(lambda s: np.conjugate(wf_mapped(s)) * cumulative_mapped(s),
-                        a, b, tol * 1e-1, left=lexp, right=rexp))
+    lhs = abs(_integral(
+        lambda s: np.conjugate(wf_mapped(s))
+        * running_integral(wf_mapped, a, s, inner_tol, left_exponent=lexp),
+        a, b, tol * 1e-1, left=lexp, right=rexp))
 
     def wabsf(x):
         return np.asarray(w(x)) * np.abs(np.asarray(f(x)))
 
-    def cumulative_ref(x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        out = np.empty(x.shape, dtype=np.float64)
-        for i, xi in enumerate(x):
-            out[i] = float(np.real(_integral(wabsf, -1.0, float(xi), inner_tol,
-                                             left=lexp))) \
-                if xi > -1.0 else 0.0
-        return out
-
     half_sq = 0.5 * (b - a) ** 2
     mid = half_sq * float(np.real(_integral(
-        lambda x: cumulative_ref(x) * wabsf(x), -1.0, 1.0, tol * 1e-1,
-        left=lexp, right=rexp)))
+        lambda x: running_integral(wabsf, -1.0, x, inner_tol,
+                                   left_exponent=lexp) * wabsf(x),
+        -1.0, 1.0, tol * 1e-1, left=lexp, right=rexp)))
     total = float(np.real(_integral(wabsf, -1.0, 1.0, inner_tol,
                                     left=lexp, right=rexp)))
     rhs = half_sq * total * total

@@ -132,3 +132,9 @@ def test_node_failure_exits_two(tmp_path, monkeypatch, capsys):
     code, _ = run(tmp_path, "matrices", "--n", "4")
     assert code == 2
     assert "node computation failed" in capsys.readouterr().err
+
+
+def test_weight_mass_overflow_exits_two(tmp_path, capsys):
+    code, _ = run(tmp_path, "matrices", "--family", "jacobi:2000,3", "--n", "4")
+    assert code == 2
+    assert "overflows double precision" in capsys.readouterr().err

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from intop.basis import IntervalMap
 from intop.errors import OracleError
 from intop.oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
-                          direct_convolution, load_fixtures, reference_run)
+                          direct_convolution, load_fixtures, running_integral)
 
 
 def quad(f, a, b, **kw):
@@ -46,6 +47,8 @@ def test_invalid_requests():
         adaptive_integrate(QuadratureRequest(np.sin, 1.0, 0.0))
     with pytest.raises(ValueError):
         adaptive_integrate(QuadratureRequest(np.sin, 0.0, 1.0, tol=0.0))
+    with pytest.raises(ValueError):
+        running_integral(np.sin, 0.0, [1.0], 0.0)
 
 
 def test_nonintegrable_singularity_raises():
@@ -105,11 +108,56 @@ def test_direct_convolution_flat_kernel():
         direct_convolution(lambda s: s, lambda t: t, "x", imap, pts)
 
 
-def test_reference_run_dispatch():
-    rep = reference_run("lt_invert", n_ref=7)
-    assert rep.n == 7 and rep.pipeline == "lt_invert"
-    with pytest.raises(ValueError):
-        reference_run("nope")
+def test_running_integral_exact_on_polynomials():
+    c = np.array([0.3, -1.2, 2.0, 0.5, -0.7, 1.1])
+    anti = P.polyint(c)
+    a = -0.4
+    # unsorted, with repeats, a itself and points below a (which give 0)
+    pts = np.array([0.9, -1.0, 0.1, a, 2.5, a - 1e-3, 0.1, 1.7])
+    got = running_integral(lambda x: P.polyval(x, c), a, pts, 1e-13)
+    exact = P.polyval(np.maximum(pts, a), anti) - P.polyval(a, anti)
+    np.testing.assert_allclose(got, exact, rtol=1e-13, atol=1e-13)
+    assert np.all(got[pts <= a] == 0.0)
+
+
+def test_running_integral_left_singularity():
+    pts = np.array([1.0, 1e-12, 0.25, 0.0, 4.0, 0.5])
+    got = running_integral(lambda t: 1.0 / np.sqrt(t), 0.0, pts, 1e-11,
+                           left_exponent=-0.5)
+    np.testing.assert_allclose(got, 2.0 * np.sqrt(pts), rtol=0, atol=1e-11)
+
+
+def test_running_integral_stays_at_or_below_the_largest_point():
+    # With a = -1 and top the last float below 1, -1 + u**2 rounds above top
+    # for u next to sqrt(top + 1); f is undefined (nan and a warning) there.
+    top = np.nextafter(1.0, 0.0)
+    seen = []
+
+    def f(t):
+        seen.append(np.max(t))
+        return np.sqrt((top - t) / (t + 1.0))
+
+    got = running_integral(f, -1.0, [top, top - 8 * 2.0 ** -53, 0.5], 1e-12,
+                           left_exponent=-0.5)
+    assert max(seen) <= top
+    assert np.all(np.isfinite(got))
+
+
+@settings(max_examples=40)
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 8.0),
+       st.sampled_from([None, -0.5, 0.3]),
+       st.lists(st.floats(-0.5, 3.0), min_size=1, max_size=21))
+def test_running_integral_matches_pointwise_quadrature(c, k, exponent, pts):
+    g = 0.0 if exponent is None else exponent
+
+    def f(x):
+        return x ** g * np.exp(c * x) * np.cos(k * x)
+
+    tol = 1e-11
+    got = running_integral(f, 0.0, pts, tol, left_exponent=exponent)
+    for x, value in zip(pts, got):
+        ref = quad(f, 0.0, x, tol=tol, left_exponent=exponent) if x > 0.0 else 0.0
+        assert abs(value - ref) <= tol, x
 
 
 def test_fixtures_thresholds_cover_measured():

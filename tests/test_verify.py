@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.errors import NumericalError
 from intop.intmat import build_integration_matrices, eigen_factorize, scale
-from intop.verify import (check_derivative_range, check_half_line_pairing,
-                          check_integral_chain, check_norm_bound,
-                          check_positivity_identity, conjecture_scan,
-                          numerical_range_sample, verify_suite)
+from intop.verify import (DEFAULT_SEED, check_derivative_range,
+                          check_half_line_pairing, check_integral_chain,
+                          check_norm_bound, check_positivity_identity,
+                          conjecture_scan, numerical_range_sample, verify_suite)
 
 
 def test_positivity_identity_complex_sample():
@@ -95,6 +96,28 @@ def test_integral_chain_with_weight_object():
                                WeightFamily.chebyshev_first(), (0.0, 1.0))
     assert rep.passed
     assert rep.lhs <= rep.mid <= rep.rhs
+
+
+def test_integral_chain_on_a_sign_changing_suite_draw():
+    # The third chain draw of verify_suite(samples=6): 6 identity draws of 9
+    # coefficients and 6 derivative draws of 7 come first. |f| has a kink
+    # inside (-1, 1), so the exact values are piecewise-polynomial integrals.
+    rng = np.random.default_rng(DEFAULT_SEED)
+    for size in [9] * 6 + [7] * 6 + [4] * 3:
+        coeffs = rng.standard_normal(size)
+    roots = [r.real for r in P.polyroots(coeffs)
+             if abs(r.imag) < 1e-12 and -1.0 < r.real < 1.0]
+    assert roots
+    anti = P.polyint(coeffs)
+    edges = np.array([-1.0] + sorted(roots) + [1.0])
+    total = float(np.sum(np.abs(np.diff(P.polyval(edges, anti)))))
+    signed = P.polyval(1.0, anti) - P.polyval(-1.0, anti)
+    rep = check_integral_chain(lambda x: P.polyval(x, coeffs), None, (0.0, 2.0))
+    assert rep.passed
+    # on (0, 2) the mapped function has the same integral; half_sq = 2
+    assert rep.lhs == pytest.approx(0.5 * signed ** 2, abs=1e-9)
+    assert rep.mid == pytest.approx(total ** 2, abs=1e-9)
+    assert rep.rhs == pytest.approx(2.0 * total ** 2, abs=1e-9)
 
 
 def test_conjecture_scan_legendre():
