@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NodeComputationError
+from .memo import lru_memo, read_only
 
 __all__ = [
     "WeightFamily",
@@ -185,9 +186,19 @@ def orthonormal_table(family: WeightFamily, m: int, x):
     return table
 
 
+# Gauss rules held for repeated requests. A rule is O(n), so the bound is an
+# entry count. The key is repr(family), not the family: exponents -0.0 and
+# 0.0 compare equal but give different labels.
+_BASIS_MEMO_ENTRIES = 128
+
+
+@lru_memo(key=lambda family, n: (repr(family), n), budget=_BASIS_MEMO_ENTRIES)
 def build_basis(family: WeightFamily, n: int) -> QuadratureBasis:
     """Gauss rule of the family: tridiagonal eigenvalues, one Newton polish,
     Christoffel weights.
+
+    Memoized: a repeated (family, n) returns the same basis, whose arrays
+    are read-only; build_basis.cache_clear() drops the held rules.
 
     Symmetric families get their node sets symmetrized exactly. Measured
     for n = 1..3000 (legendre, chebyshev1, gegenbauer:0.8 and three jacobi
@@ -217,7 +228,7 @@ def build_basis(family: WeightFamily, n: int) -> QuadratureBasis:
     weights = 1.0 / np.sum(table * table, axis=0)
     if family.symmetric:
         weights = 0.5 * (weights + weights[::-1])
-    return QuadratureBasis(family, n, nodes, weights)
+    return QuadratureBasis(family, n, read_only(nodes), read_only(weights))
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:

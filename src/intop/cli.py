@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -66,7 +67,10 @@ def _validate(args) -> None:
         raise ValueError("--a must be below --b")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process; parse_args keeps no state between
+    calls, so main() reuses it."""
     parser = _Parser(prog="intop",
                      description="Indefinite integration matrices and the "
                                  "transform pipelines built on them.")

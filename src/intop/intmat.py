@@ -25,6 +25,7 @@ from .basis import (IntervalMap, QuadratureBasis, WeightFamily, orthonormal_tabl
 # the Gauss rules a matrix build asks for.
 from .basis import build_basis  # noqa: F401
 from .errors import IllConditionedError, PoleEvaluationError
+from .memo import lru_memo, read_only
 
 __all__ = [
     "IntegrationMatrices",
@@ -40,6 +41,12 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e8
+# Bytes of matrix pairs held for repeated requests. A pair costs 16 n^2 bytes
+# (16 MB at n = 1000), so the bound is on bytes, not entries. 1.25 MiB holds
+# every pair of one family up to n = 60 (1.18 MB) and skips pairs past
+# n = 286; a 2 MiB budget added 2.8 MB of peak memory over the
+# weighted_matrices benchmark, 1.25 MiB adds 1.9 MB.
+_MATRIX_MEMO_BYTES = 1280 * 1024
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,14 @@ def _incomplete_beta(p: float, q: float, u, v):
     return np.where(flip, 1.0 - part, part)
 
 
+def _basis_content(basis: QuadratureBasis):
+    """Exact key of a basis: equal content hits the memo, 1 ulp apart does not."""
+    return (repr(basis.family), basis.n, basis.nodes.tobytes(),
+            basis.gauss_weights.tobytes())
+
+
+@lru_memo(key=_basis_content, budget=_MATRIX_MEMO_BYTES,
+          size=lambda mats: mats.plus.nbytes + mats.minus.nbytes)
 def build_integration_matrices(basis: QuadratureBasis) -> IntegrationMatrices:
     """Both one-sided matrices, in closed form for every Jacobi weight.
 
@@ -145,6 +160,10 @@ def build_integration_matrices(basis: QuadratureBasis) -> IntegrationMatrices:
     Measured for alpha, beta in [-0.999, 1.999] and n <= 60: row sums within
     3e-13 mu0 of mu0 I_{(1+x)/2}(beta+1, alpha+1), and A+ applied to t^k
     (k < n) within 7e-14 mu0 of 30-digit mpmath quadrature.
+
+    Memoized on the basis content: an equal basis returns the same pair,
+    whose arrays (and those of its basis) are read-only;
+    build_integration_matrices.cache_clear() drops the held pairs.
     """
     fam, n, x, w = basis.family, basis.n, basis.nodes, basis.gauss_weights
     al, be = fam.alpha, fam.beta
@@ -158,7 +177,9 @@ def build_integration_matrices(basis: QuadratureBasis) -> IntegrationMatrices:
         phi[:, 1:] = (-((1.0 - x) ** (al + 1.0) * (1.0 + x) ** (be + 1.0))[:, None]
                       * shifted.T / np.sqrt(m * (m + al + be + 1.0)))
     plus = phi @ (orthonormal_table(fam, n - 1, x) * w[None, :])
-    return IntegrationMatrices(basis, plus, w[None, :] - plus)
+    if x.flags.writeable or w.flags.writeable:  # a basis built by hand
+        basis = QuadratureBasis(fam, n, read_only(x.copy()), read_only(w.copy()))
+    return IntegrationMatrices(basis, read_only(plus), read_only(w[None, :] - plus))
 
 
 def scale(mats: IntegrationMatrices, side: str, imap: IntervalMap) -> ScaledMatrix:

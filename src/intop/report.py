@@ -25,7 +25,7 @@ def _clean(obj):
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
@@ -83,8 +83,8 @@ class SolveReport:
 
     def json_text(self) -> str:
         payload = {"metadata": self._meta_dict(),
-                   "coarse": {"t": list(self.coarse_t), "exact": list(self.coarse_exact),
-                              "computed": list(self.coarse_computed)},
-                   "fine": {"t": list(self.fine_t), "exact": list(self.fine_exact),
-                            "computed": list(self.fine_computed)}}
+                   "coarse": {"t": self.coarse_t, "exact": self.coarse_exact,
+                              "computed": self.coarse_computed},
+                   "fine": {"t": self.fine_t, "exact": self.fine_exact,
+                            "computed": self.fine_computed}}
         return json.dumps(_clean(payload), sort_keys=True, indent=1) + "\n"

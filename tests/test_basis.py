@@ -126,3 +126,21 @@ def test_legendre_coefficient_recovery():
     with pytest.raises(ValueError):
         legendre_coefficients(build_basis(WeightFamily.chebyshev_first(), 4),
                               np.ones(4))
+
+
+def test_repeated_build_returns_the_memoized_read_only_rule():
+    bas = build_basis(WeightFamily.legendre(), 7)
+    assert build_basis(WeightFamily.legendre(), 7) is bas
+    assert build_basis(WeightFamily.legendre(), n=7) is bas
+    assert build_basis(WeightFamily.legendre(), 8) is not bas
+    for arr in (bas.nodes, bas.gauss_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_basis_memo_tells_signed_zero_exponents_apart():
+    # equal as families, but their labels (and so error messages) differ
+    plus_zero = build_basis(WeightFamily.jacobi(0.0, 0.0), 3)
+    minus_zero = build_basis(WeightFamily.jacobi(-0.0, 0.0), 3)
+    assert minus_zero is not plus_zero
+    assert minus_zero.family.label == "jacobi:-0,0"

@@ -138,3 +138,18 @@ def test_weight_mass_overflow_exits_two(tmp_path, capsys):
     code, _ = run(tmp_path, "matrices", "--family", "jacobi:2000,3", "--n", "4")
     assert code == 2
     assert "overflows double precision" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from intop.cli import build_parser
+    assert build_parser() is build_parser()
+    first = ["ft-invert", "--n", "7", "--format", "json"]
+    assert main(first) == 0
+    text = capsys.readouterr().out
+    assert main(["matrices", "--family", "chebyshev1", "--n", "9"]) == 0
+    assert main(["eigs", "--n", "3", "--a", "2", "--b", "1"]) == 1
+    assert main(["matrices", "--bogus"]) == 1
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert main(first) == 0
+    assert capsys.readouterr().out == text

@@ -7,11 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc
 
-from intop.basis import (IntervalMap, WeightFamily, build_basis,
+from intop.basis import (IntervalMap, QuadratureBasis, WeightFamily, build_basis,
                          lagrange_cardinal, recurrence_coefficients)
 from intop.errors import IllConditionedError, PoleEvaluationError
-from intop.intmat import (ScalarSymbol, ScaledMatrix, _incomplete_beta,
-                          apply_real, build_integration_matrices,
+from intop.intmat import (_MATRIX_MEMO_BYTES, ScalarSymbol, ScaledMatrix,
+                          _incomplete_beta, apply_real, build_integration_matrices,
                           eigen_factorize, matrix_apply, matrix_function, scale)
 from intop.oracle import QuadratureRequest, adaptive_integrate
 
@@ -231,3 +231,57 @@ def test_scalar_symbol_is_callable_and_validated():
     assert sym(0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ScalarSymbol(lambda y: y, "north")
+
+
+def test_repeated_build_returns_the_memoized_read_only_pair():
+    bas = build_basis(WeightFamily.legendre(), 6)
+    mats = build_integration_matrices(bas)
+    assert build_integration_matrices(bas) is mats
+    # equal content built by hand hits the memo too
+    again = QuadratureBasis(bas.family, bas.n, bas.nodes.copy(),
+                            bas.gauss_weights.copy())
+    assert build_integration_matrices(again) is mats
+    for arr in (mats.plus, mats.minus):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def test_hand_built_basis_one_ulp_apart_gets_its_own_pair():
+    bas = build_basis(WeightFamily.legendre(), 6)
+    mats = build_integration_matrices(bas)
+    nodes = bas.nodes.copy()
+    nodes[2] = np.nextafter(nodes[2], 1.0)
+    moved = QuadratureBasis(bas.family, bas.n, nodes, bas.gauss_weights.copy())
+    other = build_integration_matrices(moved)
+    assert other is not mats
+    assert not np.array_equal(other.plus, mats.plus)
+    # the held pair keeps read-only copies, so the caller's arrays stay
+    # writable and writing to them cannot reach the memo
+    nodes[2] = 0.0
+    assert other.basis.nodes[2] != 0.0 and not other.basis.nodes.flags.writeable
+    assert build_integration_matrices(moved) is not other
+
+
+def test_matrix_memo_holds_one_family_up_to_sixty():
+    # a conjecture scan's whole range, so a repeated scan rebuilds nothing
+    bases = [build_basis(WeightFamily.chebyshev_first(), n) for n in range(1, 61)]
+    pairs = [build_integration_matrices(bas) for bas in bases]
+    assert all(build_integration_matrices(bas) is mats
+               for bas, mats in zip(bases, pairs))
+
+
+def test_matrix_memo_holds_at_most_its_byte_budget():
+    memo, budget = build_integration_matrices, _MATRIX_MEMO_BYTES
+    pairs = []
+    for n in range(40, 260, 20):  # about 4 MiB of pairs in all
+        pairs.append(memo(build_basis(WeightFamily.legendre(), n)))
+        assert memo.held_size() <= budget
+    assert memo.held_size() > budget // 2
+    # the least recently used pair went first, the latest is still held
+    assert memo(pairs[-1].basis) is pairs[-1]
+    assert memo(pairs[0].basis) is not pairs[0]
+    big = memo(build_basis(WeightFamily.legendre(), 400))  # 2.4 MiB, too large
+    assert memo(big.basis) is not big
+    assert memo.held_size() <= budget
+    memo.cache_clear()
+    assert memo.held_size() == 0
