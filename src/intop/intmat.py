@@ -42,11 +42,11 @@ __all__ = [
 
 _COND_LIMIT = 1e8
 # Bytes of matrix pairs held for repeated requests. A pair costs 16 n^2 bytes
-# (16 MB at n = 1000), so the bound is on bytes, not entries. 1.25 MiB holds
-# every pair of one family up to n = 60 (1.18 MB) and skips pairs past
-# n = 286; a 2 MiB budget added 2.8 MB of peak memory over the
-# weighted_matrices benchmark, 1.25 MiB adds 1.9 MB.
-_MATRIX_MEMO_BYTES = 1280 * 1024
+# (16 MB at n = 1000), so the bound is on bytes, not entries. The budget holds
+# the pairs that measured traffic asks for again: verify_suite's Legendre
+# n = 1..40 scan, rebuilt on every call (354 KB), and the Legendre pipelines
+# at n = 5..20 (45 KB). A pair past n = 181 is returned but not held.
+_MATRIX_MEMO_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)

@@ -262,9 +262,10 @@ def test_hand_built_basis_one_ulp_apart_gets_its_own_pair():
     assert build_integration_matrices(moved) is not other
 
 
-def test_matrix_memo_holds_one_family_up_to_sixty():
-    # a conjecture scan's whole range, so a repeated scan rebuilds nothing
-    bases = [build_basis(WeightFamily.chebyshev_first(), n) for n in range(1, 61)]
+def test_matrix_memo_holds_the_verify_suite_scan():
+    # verify_suite scans Legendre n = 1..40 on every call; a repeated call
+    # rebuilds none of those pairs
+    bases = [build_basis(WeightFamily.legendre(), n) for n in range(1, 41)]
     pairs = [build_integration_matrices(bas) for bas in bases]
     assert all(build_integration_matrices(bas) is mats
                for bas, mats in zip(bases, pairs))
@@ -272,15 +273,20 @@ def test_matrix_memo_holds_one_family_up_to_sixty():
 
 def test_matrix_memo_holds_at_most_its_byte_budget():
     memo, budget = build_integration_matrices, _MATRIX_MEMO_BYTES
+    # a pair costs 16 n^2 bytes: n_fit is the largest that fits
+    n_fit = math.isqrt(budget // 16)
     pairs = []
-    for n in range(40, 260, 20):  # about 4 MiB of pairs in all
+    for n in range(n_fit // 18, n_fit, n_fit // 18):  # about 6 budgets in all
         pairs.append(memo(build_basis(WeightFamily.legendre(), n)))
         assert memo.held_size() <= budget
     assert memo.held_size() > budget // 2
     # the least recently used pair went first, the latest is still held
     assert memo(pairs[-1].basis) is pairs[-1]
     assert memo(pairs[0].basis) is not pairs[0]
-    big = memo(build_basis(WeightFamily.legendre(), 400))  # 2.4 MiB, too large
+    # the largest pair that fits is held, one more is not
+    fits = memo(build_basis(WeightFamily.legendre(), n_fit))
+    assert memo(fits.basis) is fits
+    big = memo(build_basis(WeightFamily.legendre(), n_fit + 1))
     assert memo(big.basis) is not big
     assert memo.held_size() <= budget
     memo.cache_clear()
