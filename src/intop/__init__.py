@@ -23,7 +23,7 @@ from .ode import (ChainResult, OdeProblem, PicardResult, hermite_refine,
                   picard_solve, restart_extend, tangent_demo)
 from .oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
                      direct_convolution, load_fixtures, running_integral)
-from .report import SolveReport, format_float
+from .report import SolveReport
 from .verify import (ChainReport, ConjectureReport, HalfLineReport,
                      IdentityReport, NormBoundReport, RangeSample,
                      check_derivative_range, check_norm_bound,

@@ -1,7 +1,9 @@
 """Command-line surface: demo artifacts, matrix export, scans, verification.
 
-Output is deterministic: fixed seeds, fixed orderings, floats at 17
-significant digits, so a rerun with the same flags is byte-identical.
+Output is deterministic: fixed seeds and fixed orderings, written by the
+intop.report writers (CSV floats at 17 significant digits, JSON floats as
+their shortest round-trip repr), so a rerun with the same flags is
+byte-identical.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
@@ -9,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import NumericalError
 from .intmat import build_integration_matrices, eigen_factorize, scale
 from .invert import fourier_demo, laplace_demo
 from .ode import tangent_demo
-from .report import _clean, format_float
+from .report import csv_document, json_document
 from .verify import conjecture_scan, verify_suite
 from .wiener_hopf import exp_kernel_demo
 
@@ -130,34 +131,31 @@ def _matrices_text(args) -> str:
     family = WeightFamily.parse(args.family)
     mats = build_integration_matrices(build_basis(family, args.n))
     if args.format == "json":
-        payload = {"family": family.label, "n": args.n,
-                   "plus": mats.plus, "minus": mats.minus,
-                   "nodes": mats.basis.nodes, "weights": mats.basis.gauss_weights}
-        return json.dumps(_clean(payload), sort_keys=True, indent=1) + "\n"
-    meta = json.dumps({"family": family.label, "n": args.n}, sort_keys=True)
-    lines = [f"# metadata: {meta}", "side,j,k,value"]
-    for tag, m in (("+", mats.plus), ("-", mats.minus)):
-        for j in range(args.n):
-            for k in range(args.n):
-                lines.append(f"{tag},{j},{k},{format_float(m[j, k])}")
-    return "\n".join(lines) + "\n"
+        return json_document({"family": family.label, "n": args.n,
+                              "plus": mats.plus, "minus": mats.minus,
+                              "nodes": mats.basis.nodes,
+                              "weights": mats.basis.gauss_weights})
+    idx = [f"{i}," for i in range(args.n)]
+
+    def cells(tag):  # "tag,j,k," for every entry, row by row
+        return [row + k for row in [tag + j for j in idx] for k in idx]
+
+    return csv_document({"family": family.label, "n": args.n}, "side,j,k,value",
+                        [(None, cells(tag), m.reshape(-1, 1))
+                         for tag, m in (("+,", mats.plus), ("-,", mats.minus))])
 
 
 def _eigs_text(args) -> str:
     family = WeightFamily.parse(args.family)
     mats = build_integration_matrices(build_basis(family, args.n))
     eig = eigen_factorize(scale(mats, "+", IntervalMap(args.a, args.b)))
+    meta = {"family": family.label, "n": args.n, "a": args.a, "b": args.b,
+            "cond": eig.cond}
+    re_im = np.column_stack((eig.values.real, eig.values.imag))
     if args.format == "json":
-        payload = {"family": family.label, "n": args.n, "a": args.a, "b": args.b,
-                   "eigenvalues": [[v.real, v.imag] for v in eig.values],
-                   "cond": eig.cond}
-        return json.dumps(_clean(payload), sort_keys=True, indent=1) + "\n"
-    meta = json.dumps({"a": args.a, "b": args.b, "cond": eig.cond,
-                       "family": family.label, "n": args.n}, sort_keys=True)
-    lines = [f"# metadata: {meta}", "index,re,im"]
-    lines += [f"{i},{format_float(v.real)},{format_float(v.imag)}"
-              for i, v in enumerate(eig.values)]
-    return "\n".join(lines) + "\n"
+        return json_document({**meta, "eigenvalues": re_im})
+    return csv_document(meta, "index,re,im",
+                        [(None, [f"{i}," for i in range(len(re_im))], re_im)])
 
 
 _DEMOS = {
@@ -196,8 +194,7 @@ def main(argv=None) -> int:
             if args.format == "csv":
                 raise ValueError("verify reports are json only")
             suite = verify_suite(samples=args.samples)
-            _emit(json.dumps(_clean(suite), sort_keys=True, indent=1) + "\n",
-                  args.out)
+            _emit(json_document(suite), args.out)
             if not suite["all_passed"]:
                 failed = [k for k, v in suite.items()
                           if isinstance(v, dict) and not v.get("passed", True)]

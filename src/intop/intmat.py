@@ -201,11 +201,10 @@ def eigen_factorize(scaled: ScaledMatrix, cond_limit: float = _COND_LIMIT) -> Ei
     lam = lam[order]
     X = X[:, order]
     X = X / np.linalg.norm(X, axis=0)[None, :]
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        i = int(np.argmax(np.abs(col) > 1e-12))
-        c = col[i]
-        X[:, j] = col * (np.conj(c) / abs(c))
+    pivots = X[np.argmax(np.abs(X) > 1e-12, axis=0), np.arange(X.shape[1])]
+    # numpy scalar division: the array form np.conj(c) / np.abs(c) rounds
+    # differently in the last bit
+    X = X * np.array([np.conj(c) / abs(c) for c in pivots])[None, :]
     cond = float(np.linalg.cond(X))
     if cond > cond_limit:
         raise IllConditionedError(

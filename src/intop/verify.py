@@ -10,7 +10,6 @@ from a fixed default seed which is recorded in the returned reports.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .basis import IntervalMap, WeightFamily, build_basis
 from .errors import NumericalError
 from .intmat import ScaledMatrix, build_integration_matrices, scale
 from .oracle import QuadratureRequest, adaptive_integrate, running_integral
-from .report import _clean
+from .report import json_document
 
 __all__ = [
     "IdentityReport",
@@ -318,7 +317,7 @@ class ConjectureReport:
         }
 
     def json_text(self) -> str:
-        return json.dumps(_clean(self.to_payload()), sort_keys=True, indent=1) + "\n"
+        return json_document(self.to_payload())
 
 
 def _sorted_eigs(matrix: np.ndarray) -> np.ndarray:

@@ -174,6 +174,23 @@ def test_eigen_order_is_deterministic():
     np.testing.assert_array_equal(order, np.arange(7))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 5, 10, 15])
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_eigen_phases_match_the_column_loop(family, n, side):
+    # the per-column normalization the vectorized one replaced, bit for bit
+    scaled = scale(build_integration_matrices(build_basis(family, n)), side,
+                   IntervalMap(0.0, 2.0))
+    lam, X = np.linalg.eig(scaled.C)
+    X = X[:, np.lexsort((lam.imag, lam.real))]
+    X = X / np.linalg.norm(X, axis=0)[None, :]
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        c = col[int(np.argmax(np.abs(col) > 1e-12))]
+        X[:, j] = col * (np.conj(c) / abs(c))
+    np.testing.assert_array_equal(eigen_factorize(scaled).vectors, X)
+
+
 def test_ill_conditioned_eigenvectors_raise():
     bas = build_basis(WeightFamily.legendre(), 2)
     mats = build_integration_matrices(bas)

@@ -1,0 +1,68 @@
+"""Digests of the intop command line over a fixed grid of requests.
+
+Runs each request in-process through intop.cli.main and prints one line per
+request: the exit code, the blake2b digest of exit code, stdout and stderr
+together, and the arguments. Two checkouts whose outputs agree byte for byte
+print the same lines, so a change that must not alter any artifact is
+checked with
+
+    python3 tools/cli_digests.py /path/to/parent > parent.txt
+    python3 tools/cli_digests.py > change.txt
+    diff parent.txt change.txt
+
+The optional argument is the root of the checkout to import intop from
+(default: the one holding this script). Only the standard library is used
+besides intop itself.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+FAMILIES = ("legendre", "chebyshev1", "gegenbauer:0.8", "jacobi:0.3,-0.4")
+WITH_N = ("matrices", "eigs", "ft-invert", "lt-invert", "control", "ode",
+          "wiener-hopf")
+
+
+def grid() -> list[list[str]]:
+    """Every subcommand with --n at n = 1, 5, 16; matrices for each family
+    kind at n = 5 and 60; both formats throughout; the scan and the suite."""
+    requests = [[cmd, "--n", str(n), "--format", fmt]
+                for cmd in WITH_N for n in (1, 5, 16) for fmt in ("csv", "json")]
+    requests += [["matrices", "--family", fam, "--n", str(n), "--format", fmt]
+                 for fam in FAMILIES for n in (5, 60) for fmt in ("csv", "json")]
+    requests += [["conjecture", "--n-max", "30", "--format", fmt]
+                 for fmt in ("json", "csv")]
+    requests += [["verify", "--samples", "6", "--format", fmt]
+                 for fmt in ("json", "csv")]
+    return requests
+
+
+def digest(main, argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    h = hashlib.blake2b(digest_size=16)
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        h.update(part.encode("utf-8"))
+        h.update(b"\0")
+    return code, h.hexdigest()
+
+
+def run(root: Path) -> None:
+    sys.path.insert(0, str(root / "src"))
+    from intop.cli import main
+
+    for argv in grid():
+        code, hexdigest = digest(main, argv)
+        print(code, hexdigest, " ".join(argv), flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit("usage: cli_digests.py [checkout-root]")
+    run(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])
