@@ -3,7 +3,9 @@
 The kernel enters only through its one-sided Fourier transform: with C the
 scaled integration matrix of the matching side, the convolution values are
 symbol(+i C^{-1}) g (left-running) or symbol(-i C^{-1}) g (right-running),
-evaluated through the eigendecomposition. The control demo drives the
+evaluated through the eigendecomposition. The side and interval are those of
+the factorization passed in; intmat.symbol_on_spectrum picks the argument
+and checks the kernel transform's region. The control demo drives the
 right-running case with a damped Bessel kernel and also exposes the inverse
 design map (recover the control from a wanted response).
 """
@@ -17,11 +19,11 @@ import numpy as np
 from .basis import IntervalMap, build_basis, interpolate, WeightFamily
 from .errors import SingularDesignError
 from .intmat import (EigenFactorization, ScalarSymbol, apply_real,
-                     build_integration_matrices, eigen_factorize, scale)
+                     build_integration_matrices, eigen_factorize, scale,
+                     symbol_on_spectrum)
 from .report import SolveReport
 
 __all__ = [
-    "ConvolutionProblem",
     "ControlSpec",
     "ControlResult",
     "convolve",
@@ -31,42 +33,11 @@ __all__ = [
     "control_demo",
 ]
 
-_SIDE_REGIONS = {"+": ("upper", "entire"), "-": ("lower", "entire")}
 
-
-@dataclass(frozen=True)
-class ConvolutionProblem:
-    """Kernel transform, factor values at the mapped nodes, side, interval."""
-
-    symbol: ScalarSymbol
-    g: np.ndarray
-    side: str
-    imap: IntervalMap
-
-
-def _check_side(symbol: ScalarSymbol, side: str) -> None:
-    if side not in _SIDE_REGIONS:
-        raise ValueError("side must be '+' or '-'")
-    if symbol.region not in _SIDE_REGIONS[side]:
-        raise ValueError(
-            f"side {side!r} needs a symbol analytic on "
-            f"{' or '.join(_SIDE_REGIONS[side])}, got {symbol.region!r}")
-
-
-def _eig_arg(side: str):
-    sgn = 1j if side == "+" else -1j
-    return lambda lam: sgn / lam
-
-
-def convolve(problem: ConvolutionProblem, eig: EigenFactorization) -> np.ndarray:
-    """Convolution values at the mapped nodes; real part, residue discarded."""
-    _check_side(problem.symbol, problem.side)
-    if eig.scaled.side != problem.side:
-        raise ValueError("eigendecomposition side does not match the problem")
-    if eig.scaled.imap != problem.imap:
-        raise ValueError("eigendecomposition interval does not match the problem")
-    arg = _eig_arg(problem.side)
-    out, _ = apply_real(eig, lambda lam: problem.symbol(arg(lam)), problem.g)
+def convolve(symbol: ScalarSymbol, g: np.ndarray, eig: EigenFactorization) -> np.ndarray:
+    """Convolution values at the mapped nodes, for the kernel transform
+    symbol and factor values g at the nodes; real part, residue discarded."""
+    out, _ = apply_real(eig, symbol_on_spectrum(eig, symbol, "fourier"), g)
     return out
 
 
@@ -76,7 +47,6 @@ class ControlSpec:
 
     alpha: float
     beta: float
-    imap: IntervalMap
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -113,13 +83,9 @@ def control_response(spec: ControlSpec, eig: EigenFactorization) -> ControlResul
     Computed by the generic symbol route; the closed form through the design
     diagonal lam_j/d_j is evaluated alongside and the gap recorded.
     """
-    if eig.scaled.side != "-":
-        raise ValueError("control response needs the right-running side")
+    phi = symbol_on_spectrum(eig, damped_bessel_symbol(spec.alpha), "fourier")
     g = np.exp(-spec.beta * eig.scaled.xi)
-    problem = ConvolutionProblem(damped_bessel_symbol(spec.alpha), g, "-", spec.imap)
-    _check_side(problem.symbol, "-")
-    arg = _eig_arg("-")
-    response, residue = apply_real(eig, lambda lam: problem.symbol(arg(lam)), g)
+    response, residue = apply_real(eig, phi, g)
     closed, _ = apply_real(
         eig, lambda lam: lam / _design_diagonal(spec.alpha, lam), g)
     return ControlResult(response, float(np.abs(response - closed).max()), residue)
@@ -133,7 +99,7 @@ def control_inverse(spec: ControlSpec, eig: EigenFactorization, p: np.ndarray) -
     d = _design_diagonal(spec.alpha, eig.values)
     if np.any(np.abs(d) < 1e-14):
         raise SingularDesignError("design diagonal has a vanishing entry")
-    out, _ = apply_real(eig, lambda lam: _design_diagonal(spec.alpha, lam) / lam, p)
+    out, _ = apply_real(eig, lambda lam: d / lam, p)
     return out
 
 
@@ -143,9 +109,8 @@ def _printed_variant_deviation(alpha: float, beta: float, eig: EigenFactorizatio
     prefactor on the transform, which floats around in the wild; the demo
     records it to show the variant is wrong."""
     g = np.exp(-beta * eig.scaled.xi)
-    symbol, arg = damped_bessel_symbol(alpha), _eig_arg("-")
-    printed, _ = apply_real(
-        eig, lambda lam: symbol(arg(lam)) / (alpha + 1.0 / lam), g)
+    phi = symbol_on_spectrum(eig, damped_bessel_symbol(alpha), "fourier")
+    printed, _ = apply_real(eig, lambda lam: phi(lam) / (alpha + 1.0 / lam), g)
     return float(np.abs(response - printed).max())
 
 
@@ -155,7 +120,7 @@ _REFERENCE_N = 11
 def _control_solution(alpha: float, beta: float, imap: IntervalMap, n: int):
     bas = build_basis(WeightFamily.legendre(), n)
     eig = eigen_factorize(scale(build_integration_matrices(bas), "-", imap))
-    spec = ControlSpec(alpha, beta, imap)
+    spec = ControlSpec(alpha, beta)
     return bas, eig, control_response(spec, eig)
 
 

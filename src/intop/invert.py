@@ -3,88 +3,51 @@
 Both recover a function from its transform by evaluating the transform at
 eigenvalue arguments of the scaled integration matrix and applying the
 result to the all-ones vector: f = (1/C) T(+-i/C) 1 for the one-sided
-Fourier transforms, f = (1/C) T(1/C) 1 for Laplace.
+Fourier transforms, f = (1/C) T(1/C) 1 for Laplace. The side and interval
+come from the factorization passed in; intmat.symbol_on_spectrum picks the
+argument and checks the transform's analyticity region.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import IntervalMap, WeightFamily, build_basis, interpolate
 from .intmat import (EigenFactorization, ScalarSymbol, apply_real,
-                     build_integration_matrices, eigen_factorize, scale)
+                     build_integration_matrices, eigen_factorize, scale,
+                     symbol_on_spectrum)
 from .report import SolveReport
 
 __all__ = [
-    "InversionProblem",
     "fourier_invert",
     "laplace_invert",
     "fourier_demo",
     "laplace_demo",
 ]
 
-_KINDS = ("fourier+", "fourier-", "laplace")
 
-
-@dataclass(frozen=True)
-class InversionProblem:
-    """Transform kind ('fourier+', 'fourier-' or 'laplace') with its rule."""
-
-    kind: str
-    transform: ScalarSymbol
-    imap: IntervalMap
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-
-
-def _invert(problem: InversionProblem, eig: EigenFactorization, arg):
-    ones = np.ones(eig.values.size)
-    out, residue = apply_real(
-        eig, lambda lam: problem.transform(arg(lam)) / lam, ones)
-    return out, residue
-
-
-def fourier_invert(problem: InversionProblem, eig: EigenFactorization) -> np.ndarray:
-    """Invert a one-sided Fourier transform at the mapped nodes.
-
-    'fourier+' expects the left-running side and an upper-half-plane rule;
-    'fourier-' the right-running side and a lower-half-plane rule.
-    """
-    if problem.kind == "fourier+":
-        if problem.transform.region not in ("upper", "entire"):
-            raise ValueError("fourier+ needs an upper-half-plane transform")
-        if eig.scaled.side != "+":
-            raise ValueError("fourier+ needs the left-running side")
-        out, _ = _invert(problem, eig, lambda lam: 1j / lam)
-    elif problem.kind == "fourier-":
-        if problem.transform.region not in ("lower", "entire"):
-            raise ValueError("fourier- needs a lower-half-plane transform")
-        if eig.scaled.side != "-":
-            raise ValueError("fourier- needs the right-running side")
-        out, _ = _invert(problem, eig, lambda lam: -1j / lam)
-    else:
-        raise ValueError("use laplace_invert for laplace problems")
+def _invert(transform: ScalarSymbol, eig: EigenFactorization, kind: str) -> np.ndarray:
+    phi = symbol_on_spectrum(eig, transform, kind)
+    out, _ = apply_real(eig, lambda lam: phi(lam) / lam, np.ones(eig.values.size))
     return out
 
 
-def laplace_invert(problem: InversionProblem, eig: EigenFactorization) -> np.ndarray:
+def fourier_invert(transform: ScalarSymbol, eig: EigenFactorization) -> np.ndarray:
+    """Invert a one-sided Fourier transform at the mapped nodes.
+
+    The left-running side takes an upper-half-plane transform, the
+    right-running side a lower-half-plane one.
+    """
+    return _invert(transform, eig, "fourier")
+
+
+def laplace_invert(transform: ScalarSymbol, eig: EigenFactorization) -> np.ndarray:
     """Invert a Laplace transform at the mapped nodes (left-running side).
 
     Eigenvalues sit in the right half-plane, so 1/lam stays inside the
     transform's analyticity region.
     """
-    if problem.kind != "laplace":
-        raise ValueError("problem kind must be 'laplace'")
-    if problem.transform.region not in ("right", "entire"):
-        raise ValueError("laplace inversion needs a right-half-plane transform")
-    if eig.scaled.side != "+":
-        raise ValueError("laplace inversion needs the left-running side")
-    out, _ = _invert(problem, eig, lambda lam: 1.0 / lam)
-    return out
+    return _invert(transform, eig, "laplace")
 
 
 def _demo_scaffold(n: int, a: float, b: float):
@@ -104,8 +67,7 @@ def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     imap, bas, eig = _demo_scaffold(n, a, b)
     symbol = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)), "upper",
                           "exp_decay_transform")
-    problem = InversionProblem("fourier+", symbol, imap)
-    computed = fourier_invert(problem, eig)
+    computed = fourier_invert(symbol, eig)
     direct = np.linalg.solve(np.eye(n) + eig.scaled.C, np.ones(n))
     fine = np.linspace(a, b, fine_points)
     meta = {"transform": "1/(1-iy)", "exact_kind": "closed_form",
@@ -122,8 +84,7 @@ def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     symbol = ScalarSymbol(
         lambda s: 0.5 - np.arctan(np.asarray(s, dtype=np.complex128) / np.pi) / np.pi,
         "right", "sinc_transform")
-    problem = InversionProblem("laplace", symbol, imap)
-    computed = laplace_invert(problem, eig)
+    computed = laplace_invert(symbol, eig)
     fine = np.linspace(a, b, fine_points)
     meta = {"transform": "1/2 - arctan(s/pi)/pi", "exact_kind": "closed_form"}
     return SolveReport("lt_invert", n, a, b, eig.scaled.xi, np.sinc(eig.scaled.xi),

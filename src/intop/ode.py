@@ -30,11 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """Right-hand side f(x, y) (array-aware), initial value, interval."""
+    """Right-hand side f(x, y) (array-aware) and initial value; the interval
+    is that of the scaled matrix the problem is solved on."""
 
     rhs: object
     y0: float
-    imap: IntervalMap
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,11 @@ def hermite_refine(problem: OdeProblem, result: PicardResult,
 
 def restart_extend(problem: OdeProblem, scaled: ScaledMatrix, segments: int,
                    tol: float = 1e-12, max_iter: int = 200) -> ChainResult:
-    """Solve on `segments` equal pieces, seeding each start from the previous
-    segment's refined endpoint value."""
+    """Solve on `segments` equal pieces of the interval of `scaled`, seeding
+    each start from the previous segment's refined endpoint value."""
     if segments < 1:
         raise ValueError("need at least one segment")
-    a, b = problem.imap.a, problem.imap.b
-    edges = np.linspace(a, b, segments + 1)
+    edges = np.linspace(scaled.imap.a, scaled.imap.b, segments + 1)
     nodes_all = []
     values_all = []
     parts = []
@@ -134,7 +133,7 @@ def restart_extend(problem: OdeProblem, scaled: ScaledMatrix, segments: int,
     for lo, hi in zip(edges[:-1], edges[1:]):
         imap_seg = IntervalMap(float(lo), float(hi))
         seg_scaled = scale(scaled.source, scaled.side, imap_seg)
-        seg_problem = OdeProblem(problem.rhs, y_start, imap_seg)
+        seg_problem = OdeProblem(problem.rhs, y_start)
         res = picard_solve(seg_problem, seg_scaled, tol=tol, max_iter=max_iter)
         parts.append(res)
         nodes_all.append(seg_scaled.xi)
@@ -150,7 +149,7 @@ def tangent_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     imap = IntervalMap(a, b)
     bas = build_basis(WeightFamily.legendre(), n)
     scaled = scale(build_integration_matrices(bas), "+", imap)
-    problem = OdeProblem(lambda x, y: 1.0 + y * y, 0.0, imap)
+    problem = OdeProblem(lambda x, y: 1.0 + y * y, 0.0)
     res = picard_solve(problem, scaled)
     fine = np.linspace(a, b, fine_points)
     meta = {"ode": "y' = 1 + y^2", "exact_kind": "closed_form",

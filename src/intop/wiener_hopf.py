@@ -2,9 +2,10 @@
 
 f(x) - int_a^b k(x - t) f(t) dt = g(x) splits into a left-running and a
 right-running convolution; each half enters through its one-sided kernel
-transform evaluated on the matching integration matrix, and the assembled
-collocation system (I - K_plus - K_minus) f = g is solved directly, falling
-back to least squares when it is numerically rank-deficient.
+transform at +-i C^{-1} on the matching side (intmat.symbol_on_spectrum),
+both sides on one interval, and the collocation system (I - K_plus -
+K_minus) f = g is solved directly, falling back to least squares when it is
+numerically rank-deficient.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from .basis import IntervalMap, WeightFamily, build_basis, interpolate
 from .intmat import (EigenFactorization, ScalarSymbol, build_integration_matrices,
-                     eigen_factorize, matrix_function, scale)
+                     eigen_factorize, matrix_function, scale, symbol_on_spectrum)
+from .memo import read_only
 from .report import SolveReport
 
 __all__ = [
@@ -32,27 +34,25 @@ _RANK_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class WienerHopfProblem:
-    """One-sided kernel transforms, right-hand side callable, interval."""
+    """One-sided kernel transforms and the right-hand side callable."""
 
     khat_plus: ScalarSymbol
     khat_minus: ScalarSymbol
     g: object
-    imap: IntervalMap
 
 
 @dataclass(frozen=True)
 class WienerHopfResult:
+    """Solution at the nodes, diagnostics, and the read-only K+ and K- used."""
+
     values: np.ndarray
     residual: float
     nonunique: bool
     sigma_min: float
     sigma_max: float
     imag_residue: float
-
-
-def _symbol_matrix(eig: EigenFactorization, symbol: ScalarSymbol, sgn: float) -> np.ndarray:
-    """Assemble symbol(sgn * i / C) as a dense matrix through the eigenbasis."""
-    return matrix_function(eig, lambda lam: symbol(sgn * 1j / lam))
+    k_plus: np.ndarray
+    k_minus: np.ndarray
 
 
 def solve(problem: WienerHopfProblem, eig_plus: EigenFactorization,
@@ -61,16 +61,14 @@ def solve(problem: WienerHopfProblem, eig_plus: EigenFactorization,
     it is numerically rank-deficient."""
     if eig_plus.scaled.side != "+" or eig_minus.scaled.side != "-":
         raise ValueError("need a left-running and a right-running factorization")
-    if eig_plus.scaled.imap != problem.imap or eig_minus.scaled.imap != problem.imap:
-        raise ValueError("factorization intervals do not match the problem")
-    if problem.khat_plus.region not in ("upper", "entire"):
-        raise ValueError("plus kernel transform must be analytic above")
-    if problem.khat_minus.region not in ("lower", "entire"):
-        raise ValueError("minus kernel transform must be analytic below")
+    if eig_plus.scaled.imap != eig_minus.scaled.imap:
+        raise ValueError("the two factorizations are on different intervals")
+    phi_plus = symbol_on_spectrum(eig_plus, problem.khat_plus, "fourier")
+    phi_minus = symbol_on_spectrum(eig_minus, problem.khat_minus, "fourier")
     n = eig_plus.values.size
     g = np.asarray(problem.g(eig_plus.scaled.xi), dtype=np.float64)
-    k_plus = _symbol_matrix(eig_plus, problem.khat_plus, 1.0)
-    k_minus = _symbol_matrix(eig_minus, problem.khat_minus, -1.0)
+    k_plus = read_only(matrix_function(eig_plus, phi_plus))
+    k_minus = read_only(matrix_function(eig_minus, phi_minus))
     system = np.eye(n, dtype=np.complex128) - k_plus - k_minus
     sigma = np.linalg.svd(system, compute_uv=False)
     s_min, s_max = float(sigma[-1]), float(sigma[0])
@@ -83,7 +81,7 @@ def solve(problem: WienerHopfProblem, eig_plus: EigenFactorization,
     scale_ = float(np.linalg.norm(f))
     imag_residue = float(np.linalg.norm(f.imag) / scale_) if scale_ > 0 else 0.0
     return WienerHopfResult(f.real.copy(), residual, nonunique, s_min, s_max,
-                            imag_residue)
+                            imag_residue, k_plus, k_minus)
 
 
 def _expm1_over(z: np.ndarray) -> np.ndarray:
@@ -127,8 +125,8 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     """The solvable benchmark: g chosen so that f(t) = g(t) - sinh(1/2) e^{-t}.
 
     The metadata's alt_sign_error is the error of the opposite sign
-    convention, the least-squares solution of (I - K+ + K-) f = g; K+ and K-
-    are rebuilt here for it, off the solver's path.
+    convention, the least-squares solution of (I - K+ + K-) f = g, formed
+    from the K+ and K- the solver assembled.
     """
     imap = IntervalMap(a, b)
     bas = build_basis(WeightFamily.legendre(), n)
@@ -136,12 +134,10 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     eig_plus = eigen_factorize(scale(mats, "+", imap))
     eig_minus = eigen_factorize(scale(mats, "-", imap))
     khat_plus, khat_minus = truncated_exp_kernel_symbols()
-    problem = WienerHopfProblem(khat_plus, khat_minus, _demo_g, imap)
-    result = solve(problem, eig_plus, eig_minus)
+    result = solve(WienerHopfProblem(khat_plus, khat_minus, _demo_g),
+                   eig_plus, eig_minus)
     xi = eig_plus.scaled.xi
-    alt_system = (np.eye(n, dtype=np.complex128)
-                  - _symbol_matrix(eig_plus, khat_plus, 1.0)
-                  + _symbol_matrix(eig_minus, khat_minus, -1.0))
+    alt_system = np.eye(n, dtype=np.complex128) - result.k_plus + result.k_minus
     alt = np.linalg.lstsq(alt_system, _demo_g(xi).astype(np.complex128), rcond=None)[0]
     fine = np.linspace(a, b, fine_points)
     meta = {"exact_kind": "closed_form",

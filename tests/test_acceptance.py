@@ -16,8 +16,8 @@ from intop.convolve import (ControlSpec, control_demo, control_inverse,
 from intop.errors import NonContractionError
 from intop.intmat import (ScaledMatrix, build_integration_matrices,
                           eigen_factorize, scale)
-from intop.invert import (InversionProblem, ScalarSymbol, fourier_demo,
-                          laplace_demo, laplace_invert)
+from intop.invert import (ScalarSymbol, fourier_demo, laplace_demo,
+                          laplace_invert)
 from intop.ode import OdeProblem, picard_solve, tangent_demo
 from intop.oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
                           direct_convolution, load_fixtures)
@@ -110,7 +110,7 @@ def test_criterion_05_collapse_exactness():
         for k, exact in ((1, np.ones(5)), (2, eig.scaled.xi)):
             sym = ScalarSymbol(lambda s, k=k: (1.0 / np.asarray(s)) ** k,
                                "right", f"monomial_{k}")
-            f = laplace_invert(InversionProblem("laplace", sym, imap), eig)
+            f = laplace_invert(sym, eig)
             worst = max(worst, np.abs(f - exact).max())
         print(f"  max node deviation {worst:.3e} (tol 1e-11)")
         assert worst <= 1e-11
@@ -129,7 +129,7 @@ def test_criterion_06_control_demo_reference_oracle_roundtrip():
         bas = build_basis(WeightFamily.legendre(), 11)
         eig = eigen_factorize(scale(build_integration_matrices(bas), "-",
                                     imap))
-        spec_ = ControlSpec(alpha, beta, imap)
+        spec_ = ControlSpec(alpha, beta)
         result = control_response(spec_, eig)
         oracle = direct_convolution(
             lambda s: np.exp(alpha * s) * bessel_j0(s),
@@ -164,7 +164,7 @@ def test_criterion_07_ode_demo_and_noncontraction_detection():
         mats = build_integration_matrices(bas)
         unscaled = ScaledMatrix(mats, "+", imap, mats.plus,
                                 imap.forward(bas.nodes))
-        prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0, imap)
+        prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0)
         with pytest.raises(NonContractionError):
             picard_solve(prob, unscaled)
         print("  unscaled variant raised NonContractionError")

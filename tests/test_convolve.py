@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from intop.basis import IntervalMap, WeightFamily, build_basis
-from intop.convolve import (ControlSpec, ConvolutionProblem, control_demo,
-                            control_inverse, control_response, convolve,
-                            damped_bessel_symbol)
+from intop.convolve import (ControlSpec, control_demo, control_inverse,
+                            control_response, convolve, damped_bessel_symbol)
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
                           eigen_factorize, scale)
 from intop.oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
@@ -25,9 +24,8 @@ EXP_SYMBOL = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)),
 
 def test_left_running_exponential_kernel():
     # int_0^xi e^{-(xi-t)} dt = 1 - e^{-xi}
-    imap = IntervalMap(0.0, 2.0)
     eig = make_eig(8, 0.0, 2.0)
-    f = convolve(ConvolutionProblem(EXP_SYMBOL, np.ones(8), "+", imap), eig)
+    f = convolve(EXP_SYMBOL, np.ones(8), eig)
     assert np.abs(f - (1.0 - np.exp(-eig.scaled.xi))).max() < 1e-6
 
 
@@ -35,8 +33,7 @@ def test_accuracy_improves_as_interval_shrinks():
     errs = []
     for b in (1.0, 0.5, 0.25):
         eig = make_eig(6, 0.0, b)
-        f = convolve(ConvolutionProblem(EXP_SYMBOL, np.ones(6), "+",
-                                        IntervalMap(0.0, b)), eig)
+        f = convolve(EXP_SYMBOL, np.ones(6), eig)
         errs.append(np.abs(f - (1.0 - np.exp(-eig.scaled.xi))).max())
     assert errs[0] > errs[1] > errs[2]
 
@@ -50,7 +47,7 @@ def test_right_running_matches_quadrature():
     imap = IntervalMap(0.0, 3.0)
     eig = make_eig(8, 0.0, 3.0, side="-")
     g = np.exp(-0.7 * eig.scaled.xi)
-    f = convolve(ConvolutionProblem(sym, g, "-", imap), eig)
+    f = convolve(sym, g, eig)
     ref = direct_convolution(lambda s: np.exp(alpha * s) * bessel_j0(s),
                              lambda t: np.exp(-0.7 * t), "-", imap,
                              eig.scaled.xi, tol=1e-12)
@@ -67,41 +64,28 @@ def test_symbol_matches_defining_integral():
 
 
 def test_convolution_is_linear():
-    imap = IntervalMap(0.0, 3.0)
     eig = make_eig(8, 0.0, 3.0, side="-")
     sym = damped_bessel_symbol(1.0)
     rng = np.random.default_rng(3)
     g1, g2 = rng.standard_normal(8), rng.standard_normal(8)
-    combo = convolve(ConvolutionProblem(sym, 2.0 * g1 - 0.5 * g2, "-", imap),
-                     eig)
-    parts = (2.0 * convolve(ConvolutionProblem(sym, g1, "-", imap), eig)
-             - 0.5 * convolve(ConvolutionProblem(sym, g2, "-", imap), eig))
+    combo = convolve(sym, 2.0 * g1 - 0.5 * g2, eig)
+    parts = 2.0 * convolve(sym, g1, eig) - 0.5 * convolve(sym, g2, eig)
     np.testing.assert_allclose(combo, parts, atol=1e-11)
 
 
 def test_zero_input_gives_zero_output():
-    imap = IntervalMap(0.0, 3.0)
     eig = make_eig(5, 0.0, 3.0, side="-")
-    f = convolve(ConvolutionProblem(damped_bessel_symbol(1.0), np.zeros(5),
-                                    "-", imap), eig)
+    f = convolve(damped_bessel_symbol(1.0), np.zeros(5), eig)
     assert np.abs(f).max() == 0.0
 
 
 def test_side_region_and_interval_validation():
-    imap = IntervalMap(0.0, 2.0)
     eig_plus = make_eig(4, 0.0, 2.0)
     with pytest.raises(ValueError):
-        convolve(ConvolutionProblem(damped_bessel_symbol(1.0), np.ones(4),
-                                    "+", imap), eig_plus)  # lower vs side +
+        convolve(damped_bessel_symbol(1.0), np.ones(4), eig_plus)  # lower vs side +
     with pytest.raises(ValueError):
-        convolve(ConvolutionProblem(EXP_SYMBOL, np.ones(4), "-", imap),
+        convolve(EXP_SYMBOL, np.ones(4),
                  make_eig(4, 0.0, 2.0, side="-"))  # upper vs side -
-    with pytest.raises(ValueError):
-        convolve(ConvolutionProblem(EXP_SYMBOL, np.ones(4), "x", imap),
-                 eig_plus)
-    with pytest.raises(ValueError):
-        convolve(ConvolutionProblem(EXP_SYMBOL, np.ones(4), "+",
-                                    IntervalMap(0.0, 1.0)), eig_plus)
 
 
 def test_control_demo_deviations():
@@ -118,13 +102,13 @@ def test_control_demo_deviations():
 
 def test_control_spec_validation():
     with pytest.raises(ValueError):
-        ControlSpec(0.0, 0.7, IntervalMap(0.0, 3.0))
+        ControlSpec(0.0, 0.7)
     with pytest.raises(ValueError):
-        ControlSpec(-1.0, 0.7, IntervalMap(0.0, 3.0))
+        ControlSpec(-1.0, 0.7)
 
 
 def test_control_inverse_roundtrip():
-    spec = ControlSpec(1.0, 0.7, IntervalMap(0.0, 3.0))
+    spec = ControlSpec(1.0, 0.7)
     eig = make_eig(8, 0.0, 3.0, side="-")
     res = control_response(spec, eig)
     demand = np.exp(-0.7 * eig.scaled.xi)
@@ -133,12 +117,12 @@ def test_control_inverse_roundtrip():
 
 
 def test_control_inverse_on_random_vectors():
-    spec = ControlSpec(1.0, 0.4, IntervalMap(0.0, 2.0))
+    spec = ControlSpec(1.0, 0.4)
     eig = make_eig(7, 0.0, 2.0, side="-")
     rng = np.random.default_rng(11)
     sym = damped_bessel_symbol(1.0)
     for _ in range(3):
         p = rng.standard_normal(7)
-        r = convolve(ConvolutionProblem(sym, p, "-", spec.imap), eig)
+        r = convolve(sym, p, eig)
         np.testing.assert_allclose(control_inverse(spec, eig, r), p,
                                    atol=1e-10)

@@ -12,7 +12,8 @@ from intop.basis import (IntervalMap, QuadratureBasis, WeightFamily, build_basis
 from intop.errors import IllConditionedError, PoleEvaluationError
 from intop.intmat import (_MATRIX_MEMO_BYTES, ScalarSymbol, ScaledMatrix,
                           _incomplete_beta, apply_real, build_integration_matrices,
-                          eigen_factorize, matrix_apply, matrix_function, scale)
+                          eigen_factorize, matrix_apply, matrix_function, scale,
+                          symbol_on_spectrum)
 from intop.oracle import QuadratureRequest, adaptive_integrate
 
 
@@ -229,6 +230,32 @@ def test_pole_on_spectrum_raises():
     lam0 = eig.values[0]
     with pytest.raises(PoleEvaluationError):
         matrix_apply(eig, lambda lam: 1.0 / (lam - lam0), np.ones(4))
+    with pytest.raises(PoleEvaluationError):
+        matrix_function(eig, lambda lam: 1.0 / (lam - lam0))
+
+
+# (kind, side) -> (argument the transform is evaluated at, regions accepted)
+SPECTRUM_RULE = {("fourier", "+"): (lambda lam: 1j / lam, ("upper", "entire")),
+                 ("fourier", "-"): (lambda lam: -1j / lam, ("lower", "entire")),
+                 ("laplace", "+"): (lambda lam: 1.0 / lam, ("right", "entire"))}
+
+
+@pytest.mark.parametrize("region", ["upper", "lower", "right", "entire"])
+@pytest.mark.parametrize("side", ["+", "-"])
+@pytest.mark.parametrize("kind", ["fourier", "laplace"])
+def test_symbol_on_spectrum_argument_and_region(kind, side, region):
+    bas = build_basis(WeightFamily.legendre(), 5)
+    eig = eigen_factorize(scale(build_integration_matrices(bas), side,
+                                IntervalMap(0.0, 2.0)))
+    sym = ScalarSymbol(lambda z: np.exp(-np.asarray(z)) / (3.0 + np.asarray(z)),
+                       region, "probe")
+    arg, regions = SPECTRUM_RULE.get((kind, side), (None, ()))
+    if region not in regions:
+        with pytest.raises(ValueError):
+            symbol_on_spectrum(eig, sym, kind)
+        return
+    phi = symbol_on_spectrum(eig, sym, kind)
+    assert np.array_equal(phi(eig.values), sym(arg(eig.values)))
 
 
 def test_apply_real_reports_residue():

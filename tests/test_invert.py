@@ -6,8 +6,8 @@ import pytest
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
                           eigen_factorize, scale)
-from intop.invert import (InversionProblem, fourier_demo, fourier_invert,
-                          laplace_demo, laplace_invert)
+from intop.invert import (fourier_demo, fourier_invert, laplace_demo,
+                          laplace_invert)
 from intop.oracle import load_fixtures
 
 THRESH = load_fixtures()["thresholds"]
@@ -35,22 +35,20 @@ def test_fourier_demo_converges_with_n():
 
 def test_fourier_plus_custom_transform():
     # 1/(1-iy)^2 is the one-sided transform of t e^{-t}
-    imap = IntervalMap(0.0, 4.0)
     eig = make_eig(8, 0.0, 4.0)
     sym = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)) ** 2,
                        "upper", "t_exp_decay")
-    out = fourier_invert(InversionProblem("fourier+", sym, imap), eig)
+    out = fourier_invert(sym, eig)
     exact = eig.scaled.xi * np.exp(-eig.scaled.xi)
     assert np.abs(out - exact).max() < 1e-4
 
 
 def test_fourier_minus_mirror():
     # right-running side recovers g(t) = e^{-(b-t)} from 1/(1+iy)
-    imap = IntervalMap(0.0, 3.0)
     eig = make_eig(8, 0.0, 3.0, side="-")
     sym = ScalarSymbol(lambda y: 1.0 / (1.0 + 1j * np.asarray(y)), "lower",
                        "mirror")
-    out = fourier_invert(InversionProblem("fourier-", sym, imap), eig)
+    out = fourier_invert(sym, eig)
     exact = np.exp(-(3.0 - eig.scaled.xi))
     assert np.abs(out - exact).max() < 1e-5
 
@@ -68,17 +66,15 @@ def test_laplace_collapse_on_monomials():
     # so node values of xi^{k-1}/(k-1)! come out to rounding error.
     n = 6
     eig = make_eig(n, 0.0, 2.0)
-    imap = IntervalMap(0.0, 2.0)
     for k in range(1, n):
         sym = ScalarSymbol(lambda s, k=k: (1.0 / np.asarray(s)) ** k,
                            "right", f"monomial_{k}")
-        f = laplace_invert(InversionProblem("laplace", sym, imap), eig)
+        f = laplace_invert(sym, eig)
         exact = eig.scaled.xi ** (k - 1) / math.factorial(k - 1)
         assert np.abs(f - exact).max() < 1e-11, k
 
 
 def test_kind_and_region_validation():
-    imap = IntervalMap(0.0, 1.0)
     eig_plus = make_eig(3, 0.0, 1.0)
     eig_minus = make_eig(3, 0.0, 1.0, side="-")
     upper = ScalarSymbol(lambda y: np.ones_like(np.asarray(y, dtype=complex)),
@@ -88,18 +84,12 @@ def test_kind_and_region_validation():
     right = ScalarSymbol(lambda s: np.ones_like(np.asarray(s, dtype=complex)),
                          "right", "flat")
     with pytest.raises(ValueError):
-        InversionProblem("mellin", upper, imap)
+        fourier_invert(lower, eig_plus)
     with pytest.raises(ValueError):
-        fourier_invert(InversionProblem("fourier+", lower, imap), eig_plus)
+        fourier_invert(upper, eig_minus)
     with pytest.raises(ValueError):
-        fourier_invert(InversionProblem("fourier+", upper, imap), eig_minus)
+        fourier_invert(right, eig_plus)
     with pytest.raises(ValueError):
-        fourier_invert(InversionProblem("fourier-", upper, imap), eig_minus)
+        laplace_invert(upper, eig_plus)
     with pytest.raises(ValueError):
-        fourier_invert(InversionProblem("laplace", right, imap), eig_plus)
-    with pytest.raises(ValueError):
-        laplace_invert(InversionProblem("laplace", upper, imap), eig_plus)
-    with pytest.raises(ValueError):
-        laplace_invert(InversionProblem("laplace", right, imap), eig_minus)
-    with pytest.raises(ValueError):
-        laplace_invert(InversionProblem("fourier+", upper, imap), eig_plus)
+        laplace_invert(right, eig_minus)

@@ -20,9 +20,8 @@ def make_scaled(n, a, b):
 
 def test_linear_growth_equation():
     # y' = 2y, y(0) = 1: two restarts reach e^2 to rounding error
-    imap = IntervalMap(0.0, 1.0)
     scaled = make_scaled(9, 0.0, 1.0)
-    prob = OdeProblem(lambda t, y: 2.0 * y, 1.0, imap)
+    prob = OdeProblem(lambda t, y: 2.0 * y, 1.0)
     single = picard_solve(prob, scaled)
     assert single.converged
     assert np.abs(single.values - np.exp(2.0 * scaled.xi)).max() < 1e-7
@@ -32,9 +31,8 @@ def test_linear_growth_equation():
 
 
 def test_hermite_refinement():
-    imap = IntervalMap(0.0, 1.0)
     scaled = make_scaled(9, 0.0, 1.0)
-    prob = OdeProblem(lambda t, y: 2.0 * y, 1.0, imap)
+    prob = OdeProblem(lambda t, y: 2.0 * y, 1.0)
     res = picard_solve(prob, scaled)
     # reproduces the node values it was built from
     at_nodes = hermite_refine(prob, res, scaled, scaled.xi)
@@ -61,16 +59,15 @@ def test_unscaled_iteration_is_not_contractive():
     mats = build_integration_matrices(bas)
     unscaled = ScaledMatrix(mats, "+", imap, mats.plus,
                             imap.forward(bas.nodes))
-    prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0, imap)
+    prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0)
     with pytest.raises(NonContractionError):
         picard_solve(prob, unscaled)
 
 
 def test_blowup_detection_near_pole():
     # tan blows up at pi/2; iterating on (0, 1.45) must diverge loudly
-    imap = IntervalMap(0.0, 1.45)
     scaled = make_scaled(5, 0.0, 1.45)
-    prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0, imap)
+    prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0)
     with pytest.raises(NonContractionError):
         picard_solve(prob, scaled)
 
@@ -78,9 +75,8 @@ def test_blowup_detection_near_pole():
 def test_chain_beats_single_segment():
     # on (0, 1.3) one segment stalls on a spurious fixed point; four
     # restarts track tan properly
-    imap = IntervalMap(0.0, 1.3)
     scaled = make_scaled(9, 0.0, 1.3)
-    prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0, imap)
+    prob = OdeProblem(lambda t, y: 1.0 + y * y, 0.0)
     single = picard_solve(prob, scaled, max_iter=400)
     single_err = np.abs(single.values - np.tan(scaled.xi)).max()
     chain = restart_extend(prob, scaled, 4)

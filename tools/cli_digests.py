@@ -24,17 +24,27 @@ import sys
 from pathlib import Path
 
 FAMILIES = ("legendre", "chebyshev1", "gegenbauer:0.8", "jacobi:0.3,-0.4")
-WITH_N = ("matrices", "eigs", "ft-invert", "lt-invert", "control", "ode",
-          "wiener-hopf")
+DEMOS = ("ft-invert", "lt-invert", "control", "ode", "wiener-hopf")
+# One interval per eigen-route subcommand other than its default.
+INTERVALS = {"eigs": ("0.5", "2.5"), "ft-invert": ("1", "3"),
+             "lt-invert": ("0.5", "1.5"), "control": ("0.5", "2.5"),
+             "ode": ("0.25", "0.75"), "wiener-hopf": ("-0.5", "0.5")}
 
 
 def grid() -> list[list[str]]:
-    """Every subcommand with --n at n = 1, 5, 16; matrices for each family
-    kind at n = 5 and 60; both formats throughout; the scan and the suite."""
-    requests = [[cmd, "--n", str(n), "--format", fmt]
-                for cmd in WITH_N for n in (1, 5, 16) for fmt in ("csv", "json")]
-    requests += [["matrices", "--family", fam, "--n", str(n), "--format", fmt]
-                 for fam in FAMILIES for n in (5, 60) for fmt in ("csv", "json")]
+    """matrices at n = 1, 5, 16 and for each family kind at n = 5 and 60;
+    eigs and the five demos at n = 1, 5, 11, 15, 16 (the eigen route refuses
+    n = 16) and once on a non-default interval; control with non-default
+    alpha and beta; the scan and the suite; both formats throughout."""
+    fmts = [("--format", fmt) for fmt in ("csv", "json")]
+    requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
+    requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
+                 for n in (1, 5, 11, 15, 16) for f in fmts]
+    requests += [["matrices", "--family", fam, "--n", str(n), *f]
+                 for fam in FAMILIES for n in (5, 60) for f in fmts]
+    requests += [[cmd, "--a", a, "--b", b, *f]
+                 for cmd, (a, b) in INTERVALS.items() for f in fmts]
+    requests += [["control", "--alpha", "0.5", "--beta", "1.2", *f] for f in fmts]
     requests += [["conjecture", "--n-max", "30", "--format", fmt]
                  for fmt in ("json", "csv")]
     requests += [["verify", "--samples", "6", "--format", fmt]
