@@ -4,8 +4,10 @@ Nothing in here touches the integration matrices. Quadrature is one adaptive
 bisection with Gauss rules over a list of breakpoints, in the manner of
 QUADPACK's qagp: adaptive_integrate gives a definite integral, and
 running_integral gives int_a^x f at many x from a single bisection. The
-Bessel evaluation is series/asymptotic, and convolutions are integrated
-pointwise.
+integrand is called once per Gauss rule on the abscissae of every seed panel
+(one per gap between breakpoints) together; each bisection child then gets
+calls of its own. The Bessel evaluation is series/asymptotic, and
+convolutions are integrated pointwise.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ _ROUNDOFF = 50.0 * np.finfo(np.float64).eps
 class QuadratureRequest:
     """One definite integral.
 
-    integrand must accept an ndarray of abscissae and return an ndarray
-    (real or complex) of the same shape. tol is an absolute tolerance; the
+    integrand must accept a 1-d ndarray of abscissae and return an ndarray
+    (real or complex) of the same shape. One call may hold the abscissae of
+    many panels (all seed panels of a running_integral); the two children of
+    a bisection are separate calls. tol is an absolute tolerance; the
     oracle meets it or the roundoff floor, whichever is larger (see
     adaptive_integrate). left_exponent / right_exponent tag integrable
     endpoint singularities: exponent g > -1 means the integrand behaves like
@@ -61,18 +65,31 @@ class QuadratureRequest:
     right_exponent: float | None = None
 
 
-def _panel(f, lo: float, hi: float):
-    """Return (value, error estimate, integral of |f|) for one panel.
+def _panels(f, lo, hi):
+    """Return (values, error estimates, integrals of |f|) for the panels
+    [lo[i], hi[i]] as Python lists.
 
-    Value and error come from a 10/21 Gauss pair; the integral of |f| reuses
-    the 21-point evaluations.
+    f is called once per Gauss rule (10-point, then 21-point) on the
+    abscissae of every panel together. Value and error come from the 10/21
+    pair; the integral of |f| reuses the 21-point evaluations. Each row is
+    summed and each error taken as a scalar would be, so a panel gets the
+    same bits whichever panels share its call.
     """
-    mid = 0.5 * (lo + hi)
+    mid = (0.5 * (lo + hi))[:, None]
     rad = 0.5 * (hi - lo)
-    v_lo = rad * np.sum(_GAUSS_LO[1] * f(mid + rad * _GAUSS_LO[0]))
-    f_hi = f(mid + rad * _GAUSS_HI[0])
-    v_hi = rad * np.sum(_GAUSS_HI[1] * f_hi)
-    return v_hi, abs(v_hi - v_lo), rad * np.sum(_GAUSS_HI[1] * np.abs(f_hi))
+
+    def rule(nodes):
+        x = (mid + rad[:, None] * nodes).ravel()
+        return np.asarray(f(x)).reshape(len(rad), len(nodes))
+
+    v_lo = rad * np.add.reduce(_GAUSS_LO[1] * rule(_GAUSS_LO[0]), axis=1)
+    f_hi = rule(_GAUSS_HI[0])
+    v_hi = rad * np.add.reduce(_GAUSS_HI[1] * f_hi, axis=1)
+    mag = rad * np.add.reduce(_GAUSS_HI[1] * np.abs(f_hi), axis=1)
+    # np.abs of a complex array can differ in the last bit from the scalar
+    # abs, which is hypot
+    diff = v_hi - v_lo
+    return v_hi.tolist(), np.hypot(diff.real, diff.imag).tolist(), mag.tolist()
 
 
 def _fsum(vals):
@@ -94,12 +111,15 @@ def _adaptive(f, edges, tol: float):
     until the error estimate summed over all gaps is at or below
     max(tol, roundoff floor). Returns (value of each gap, summed estimate).
     """
+    edges = np.asarray(edges, dtype=np.float64)
+    gaps = np.flatnonzero(edges[:-1] < edges[1:])
     tie = itertools.count()
     heap = []
-    for gap, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if lo < hi:
-            val, err, mag = _panel(f, lo, hi)
-            heap.append((-err, next(tie), lo, hi, 0, val, mag, gap))
+    if len(gaps):
+        lo, hi = edges[gaps], edges[gaps + 1]
+        seeds = zip(*_panels(f, lo, hi), lo.tolist(), hi.tolist(), gaps.tolist())
+        heap = [(-err, next(tie), l, h, 0, val, mag, gap)
+                for val, err, mag, l, h, gap in seeds]
     heapq.heapify(heap)
     total_err = math.fsum(-item[0] for item in heap)
     total_mag = math.fsum(item[6] for item in heap)
@@ -113,8 +133,11 @@ def _adaptive(f, edges, tol: float):
                          heap, total_err, tol, total_mag)
         neg_err, _, lo, hi, depth, v, m, gap = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1, m1 = _panel(f, lo, mid)
-        v2, e2, m2 = _panel(f, mid, hi)
+        # one call per child: an integrand that runs a running_integral over
+        # its abscissae (the outer rules in verify) would round differently
+        # if handed both children at once
+        (v1,), (e1,), (m1,) = _panels(f, np.array([lo]), np.array([mid]))
+        (v2,), (e2,), (m2,) = _panels(f, np.array([mid]), np.array([hi]))
         heapq.heappush(heap, (-e1, next(tie), lo, mid, depth + 1, v1, m1, gap))
         heapq.heappush(heap, (-e2, next(tie), mid, hi, depth + 1, v2, m2, gap))
         total_err += e1 + e2 + neg_err
@@ -193,11 +216,15 @@ def running_integral(f, a: float, points, tol: float,
     stopping rule bounds the error estimate summed over all gaps, so every
     value meets tol or the roundoff floor. left_exponent tags an (x - a)^g
     singularity as in QuadratureRequest; it is substituted away once for the
-    whole range, and f is never evaluated beyond the largest point.
+    whole range, and f is never evaluated beyond the largest point. a and
+    every point must be finite (ValueError otherwise).
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    x = np.maximum(np.asarray(points, dtype=np.float64), a)
+    x = np.asarray(points, dtype=np.float64)
+    if not (np.isfinite(a) and np.isfinite(x).all()):
+        raise ValueError("a and every point must be finite")
+    x = np.maximum(x, a)
     order = np.argsort(x)
     edges = np.concatenate(([a], x[order]))
     if left_exponent is not None:

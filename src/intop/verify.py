@@ -211,12 +211,19 @@ def check_half_line_pairing(f, truncations=(2.0, 4.0, 8.0, 16.0), y_cut: float =
     wf = wq * fq
     ywf = yq * wf
 
+    # every T bisects from (0, T), so a smaller T's panels come back under
+    # the larger ones; each abscissa set is paired once
+    seen = {}
+
     def pairing(x):
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        phase = np.exp(1j * x[:, None] * yq[None, :])
-        F = phase @ wf
-        Fp = 1j * (phase @ ywf)
-        return np.conjugate(1j * Fp) * F
+        key = x.tobytes()
+        if key not in seen:
+            phase = np.exp(1j * x[:, None] * yq[None, :])
+            F = phase @ wf
+            Fp = 1j * (phase @ ywf)
+            seen[key] = np.conjugate(1j * Fp) * F
+        return seen[key]
 
     rows = []
     for t in ts:

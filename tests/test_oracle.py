@@ -1,10 +1,14 @@
+import heapq
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
+from intop import oracle
 from intop.basis import IntervalMap
 from intop.errors import OracleError
 from intop.oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
@@ -49,6 +53,11 @@ def test_invalid_requests():
         adaptive_integrate(QuadratureRequest(np.sin, 0.0, 1.0, tol=0.0))
     with pytest.raises(ValueError):
         running_integral(np.sin, 0.0, [1.0], 0.0)
+    # a non-finite point or start has no integral to report
+    for a, pts in ((0.0, [0.5, math.nan, 1.0]), (math.nan, [0.5, 1.0]),
+                   (0.0, [0.5, math.inf]), (-math.inf, [0.5])):
+        with pytest.raises(ValueError, match="finite"):
+            running_integral(np.cos, a, pts, 1e-10)
 
 
 def test_nonintegrable_singularity_raises():
@@ -158,6 +167,99 @@ def test_running_integral_matches_pointwise_quadrature(c, k, exponent, pts):
     for x, value in zip(pts, got):
         ref = quad(f, 0.0, x, tol=tol, left_exponent=exponent) if x > 0.0 else 0.0
         assert abs(value - ref) <= tol, x
+
+
+def test_running_integral_calls_the_integrand_once_per_rule():
+    c = np.array([0.3, -1.2, 2.0, 0.5, -0.7, 1.1])
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return P.polyval(x, c)
+
+    pts = np.linspace(1.0, 0.02, 50)
+    got = running_integral(f, 0.0, pts, 1e-10)
+    anti = P.polyint(c)
+    np.testing.assert_allclose(got, P.polyval(pts, anti), rtol=0, atol=1e-13)
+    # both Gauss rules are exact for degree 5: the 50 seed panels suffice
+    assert calls == [50 * 10, 50 * 21]
+    calls.clear()
+    assert np.array_equal(running_integral(f, 0.0, [0.0, -1.0, -0.5], 1e-10),
+                          np.zeros(3))
+    assert calls == []
+
+
+def _reference_panel(f, lo, hi):
+    """One panel per call, two integrand calls per panel."""
+    mid = 0.5 * (lo + hi)
+    rad = 0.5 * (hi - lo)
+    v_lo = rad * np.sum(oracle._GAUSS_LO[1] * f(mid + rad * oracle._GAUSS_LO[0]))
+    f_hi = f(mid + rad * oracle._GAUSS_HI[0])
+    v_hi = rad * np.sum(oracle._GAUSS_HI[1] * f_hi)
+    return v_hi, abs(v_hi - v_lo), rad * np.sum(oracle._GAUSS_HI[1] * np.abs(f_hi))
+
+
+def _reference_adaptive(f, edges, tol):
+    """The bisection seeded gap by gap, each seed panel on its own."""
+    tie = itertools.count()
+    heap = []
+    for gap, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if lo < hi:
+            val, err, mag = _reference_panel(f, lo, hi)
+            heap.append((-err, next(tie), lo, hi, 0, val, mag, gap))
+    heapq.heapify(heap)
+    total_err = math.fsum(-item[0] for item in heap)
+    total_mag = math.fsum(item[6] for item in heap)
+    while total_err > max(tol, oracle._ROUNDOFF * total_mag):
+        assert len(heap) <= oracle._MAX_INTERVALS
+        assert heap[0][4] < oracle._MAX_DEPTH
+        neg_err, _, lo, hi, depth, v, m, gap = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1, m1 = _reference_panel(f, lo, mid)
+        v2, e2, m2 = _reference_panel(f, mid, hi)
+        heapq.heappush(heap, (-e1, next(tie), lo, mid, depth + 1, v1, m1, gap))
+        heapq.heappush(heap, (-e2, next(tie), mid, hi, depth + 1, v2, m2, gap))
+        total_err += e1 + e2 + neg_err
+        total_mag += m1 + m2 - m
+    parts = [[] for _ in range(len(edges) - 1)]
+    for item in heap:
+        parts[item[7]].append(item[5])
+    return [oracle._fsum(vals) for vals in parts], total_err
+
+
+@settings(max_examples=60)
+@given(st.floats(-1.0, 1.0), st.floats(0.25, 3.0), st.floats(-1.0, 1.0),
+       st.floats(0.0, 9.0), st.booleans(),
+       st.sampled_from([None, -0.25, 0.3]), st.sampled_from([None, -0.25, 0.5]),
+       st.lists(st.floats(-0.5, 3.0), min_size=1, max_size=25),
+       st.integers(0, 5))
+def test_batched_seeding_matches_per_gap_seeding_bit_for_bit(
+        a, span, c, k, cplx, left, right, offsets, dups):
+    # f sees x, not its distance to the singular end, so that distance is
+    # known only to ulp(x); exponents of -0.25 keep the lost mass, about
+    # ulp**0.75 * max|f|, below tol
+    b = a + span
+    g = 0.0 if left is None else left
+    h = 0.0 if right is None else right
+
+    def f(x):
+        out = (x - a) ** g * np.exp(c * x) * np.cos(k * x)
+        return out * np.exp(1j * x) if cplx else out
+
+    def f_both(x):
+        return f(x) * (b - x) ** h
+
+    # points at and below a, and repeated points, among the draws
+    pts = [a + t for t in offsets] + [a + t for t in offsets[:dups]] + [a]
+    tol = 1e-10
+    request = QuadratureRequest(f_both, a, b, tol, left, right)
+    got_run = running_integral(f, a, pts, tol, left_exponent=left)
+    got_def = adaptive_integrate(request)
+    with mock.patch.object(oracle, "_adaptive", _reference_adaptive):
+        ref_run = running_integral(f, a, pts, tol, left_exponent=left)
+        ref_def = adaptive_integrate(request)
+    assert np.array_equal(got_run, ref_run)
+    assert np.array_equal(got_def, ref_def)
 
 
 def test_fixtures_thresholds_cover_measured():

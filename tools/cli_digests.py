@@ -35,7 +35,8 @@ def grid() -> list[list[str]]:
     """matrices at n = 1, 5, 16 and for each family kind at n = 5 and 60;
     eigs and the five demos at n = 1, 5, 11, 15, 16 (the eigen route refuses
     n = 16) and once on a non-default interval; control with non-default
-    alpha and beta; the scan and the suite; both formats throughout."""
+    alpha and beta; the scan and the suite; both formats throughout; and
+    the suite as the verify benchmark calls it, with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
     requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
@@ -49,6 +50,7 @@ def grid() -> list[list[str]]:
                  for fmt in ("json", "csv")]
     requests += [["verify", "--samples", "6", "--format", fmt]
                  for fmt in ("json", "csv")]
+    requests.append(["verify", "--samples", "100", "--format", "json"])
     return requests
 
 
