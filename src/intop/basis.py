@@ -237,12 +237,9 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones(1)
     cap = 0.25 * (nodes[-1] - nodes[0])
-    w = np.ones(n)
-    for j in range(n):
-        diffs = (nodes[j] - nodes) / cap
-        diffs[j] = 1.0
-        w[j] = 1.0 / np.prod(diffs)
-    return w
+    diffs = (nodes[:, None] - nodes[None, :]) / cap
+    np.fill_diagonal(diffs, 1.0)
+    return 1.0 / np.prod(diffs, axis=1)
 
 
 def _barycentric_matrix(nodes, bw, pts):

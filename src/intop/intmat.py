@@ -9,6 +9,10 @@ measured. Applied to node values they reproduce the one-sided indefinite
 integrals of the interpolant, and rescaled to an interval (a, b) they act
 as the discrete indefinite-integration operators there; analytic functions
 of those operators are evaluated through the eigendecomposition.
+
+Two bounded memos serve repeated requests: the matrix pair of each basis,
+and the spectral data (eigenvalues, eigenvectors, their condition number and
+inverse) of each scaled matrix, keyed on the exact content of C.
 """
 
 from __future__ import annotations
@@ -52,6 +56,11 @@ _SPECTRUM_ARGS = {("fourier", "+"): (1j, ("upper", "entire")),
 # n = 1..40 scan, rebuilt on every call (354 KB), and the Legendre pipelines
 # at n = 5..20 (45 KB). A pair past n = 181 is returned but not held.
 _MATRIX_MEMO_BYTES = 512 * 1024
+# Bytes of spectral data held for repeated requests: an n x n scaled matrix
+# costs 32 n^2 + 16 n bytes (eigenvectors, inverse, eigenvalues). One deck of
+# the Legendre pipelines at n = 5..20 on their default intervals asks for 75
+# distinct matrices, 312 KB, and repeats every one of them in the next deck.
+_EIGEN_MEMO_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -194,14 +203,26 @@ def scale(mats: IntegrationMatrices, side: str, imap: IntervalMap) -> ScaledMatr
     return ScaledMatrix(mats, side, imap, C, xi)
 
 
-def eigen_factorize(scaled: ScaledMatrix, cond_limit: float = _COND_LIMIT) -> EigenFactorization:
-    """Eigendecomposition with a deterministic ordering and phase convention.
+@dataclass(frozen=True)
+class _EigenData:
+    """The parts of an EigenFactorization that depend on C alone; inverse is
+    None when cond exceeds _COND_LIMIT."""
 
-    Eigenvalues sort by (real, imag); eigenvector columns get unit 2-norm and
-    a phase making their first significant component real non-negative.
-    Raises IllConditionedError when the eigenvector basis is unusable.
-    """
-    lam, X = np.linalg.eig(scaled.C)
+    values: np.ndarray
+    vectors: np.ndarray
+    cond: float
+    inverse: np.ndarray | None
+
+
+@lru_memo(key=lambda C: (C.dtype.str, C.shape, C.tobytes()), budget=_EIGEN_MEMO_BYTES,
+          size=lambda d: sum(a.nbytes for a in (d.values, d.vectors, d.inverse)
+                             if a is not None))
+def _eigen_data(C: np.ndarray) -> _EigenData:
+    """The spectral data eigen_factorize returns, normalized as it states.
+
+    Memoized on the exact content of C, arrays read-only;
+    _eigen_data.cache_clear() drops the held entries."""
+    lam, X = np.linalg.eig(C)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
     X = X[:, order]
@@ -211,11 +232,28 @@ def eigen_factorize(scaled: ScaledMatrix, cond_limit: float = _COND_LIMIT) -> Ei
     # differently in the last bit
     X = X * np.array([np.conj(c) / abs(c) for c in pivots])[None, :]
     cond = float(np.linalg.cond(X))
-    if cond > cond_limit:
+    # a refused basis may be singular, where inv would raise LinAlgError
+    inverse = read_only(np.linalg.inv(X)) if cond <= _COND_LIMIT else None
+    return _EigenData(read_only(lam), read_only(X), cond, inverse)
+
+
+def eigen_factorize(scaled: ScaledMatrix, cond_limit: float = _COND_LIMIT) -> EigenFactorization:
+    """Eigendecomposition with a deterministic ordering and phase convention.
+
+    Eigenvalues sort by (real, imag); eigenvector columns get unit 2-norm and
+    a phase making their first significant component real non-negative.
+    Raises IllConditionedError when the eigenvector basis is unusable. Equal
+    matrices share their (read-only) spectral arrays.
+    """
+    data = _eigen_data(scaled.C)
+    if data.cond > cond_limit:
         raise IllConditionedError(
-            f"eigenvector condition {cond:.3e} exceeds {cond_limit:.1e} "
+            f"eigenvector condition {data.cond:.3e} exceeds {cond_limit:.1e} "
             f"(n={scaled.basis.n}, family {scaled.basis.family.label})")
-    return EigenFactorization(scaled, lam, X, np.linalg.inv(X), cond)
+    inverse = data.inverse
+    if inverse is None:  # refused under the default limit, accepted under this one
+        inverse = read_only(np.linalg.inv(data.vectors))
+    return EigenFactorization(scaled, data.values, data.vectors, inverse, data.cond)
 
 
 def symbol_on_spectrum(eig: EigenFactorization, symbol: ScalarSymbol, kind: str):

@@ -93,9 +93,10 @@ def _panels(f, lo, hi):
 
 
 def _fsum(vals):
-    value = math.fsum(np.real(vals))
-    if any(np.iscomplexobj(v) for v in vals):
-        value = value + 1j * math.fsum(np.imag(vals))
+    """Correctly rounded sum of Python (or numpy) scalars, complex if any is."""
+    value = math.fsum([v.real for v in vals])
+    if any(isinstance(v, complex) for v in vals):
+        value = value + 1j * math.fsum([v.imag for v in vals])
     return value
 
 

@@ -13,7 +13,9 @@ settings.load_profile("intop")
 
 @pytest.fixture(autouse=True)
 def _empty_memos():
-    """Each test builds its own Gauss rules and matrices: a rule memoized by
-    an earlier test would bypass a test's monkeypatched node solver."""
+    """Each test builds its own Gauss rules, matrices and factorizations: a
+    rule memoized by an earlier test would bypass a test's monkeypatched node
+    solver."""
     intop.basis.build_basis.cache_clear()
     intop.intmat.build_integration_matrices.cache_clear()
+    intop.intmat._eigen_data.cache_clear()

@@ -6,8 +6,8 @@ import pytest
 from scipy.special import roots_jacobi
 
 from intop.basis import (ExtrapolationWarning, IntervalMap, WeightFamily,
-                         build_basis, interpolate, lagrange_cardinal,
-                         legendre_coefficients)
+                         barycentric_weights, build_basis, interpolate,
+                         lagrange_cardinal, legendre_coefficients)
 from intop.oracle import QuadratureRequest, adaptive_integrate
 
 
@@ -62,6 +62,23 @@ def test_cardinal_functions_are_kronecker():
         expect = np.zeros(5)
         expect[k] = 1.0
         np.testing.assert_allclose(vals, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", [WeightFamily.legendre(),
+                                    WeightFamily.chebyshev_first(),
+                                    WeightFamily.jacobi(0.3, -0.4)])
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 64, 199])
+def test_barycentric_weights_match_the_node_loop(family, n):
+    # the per-node loop the broadcast product replaced, bit for bit
+    nodes = build_basis(family, n).nodes
+    loop = np.ones(n)
+    if n > 1:
+        cap = 0.25 * (nodes[-1] - nodes[0])
+        for j in range(n):
+            diffs = (nodes[j] - nodes) / cap
+            diffs[j] = 1.0
+            loop[j] = 1.0 / np.prod(diffs)
+    assert np.array_equal(barycentric_weights(nodes), loop)
 
 
 def test_interpolation_reproduces_polynomials():

@@ -10,10 +10,10 @@ from scipy.special import betainc
 from intop.basis import (IntervalMap, QuadratureBasis, WeightFamily, build_basis,
                          lagrange_cardinal, recurrence_coefficients)
 from intop.errors import IllConditionedError, PoleEvaluationError
-from intop.intmat import (_MATRIX_MEMO_BYTES, ScalarSymbol, ScaledMatrix,
-                          _incomplete_beta, apply_real, build_integration_matrices,
-                          eigen_factorize, matrix_apply, matrix_function, scale,
-                          symbol_on_spectrum)
+from intop.intmat import (_COND_LIMIT, _EIGEN_MEMO_BYTES, _MATRIX_MEMO_BYTES,
+                          ScalarSymbol, ScaledMatrix, _eigen_data, _incomplete_beta,
+                          apply_real, build_integration_matrices, eigen_factorize,
+                          matrix_apply, matrix_function, scale, symbol_on_spectrum)
 from intop.oracle import QuadratureRequest, adaptive_integrate
 
 
@@ -333,5 +333,105 @@ def test_matrix_memo_holds_at_most_its_byte_budget():
     big = memo(build_basis(WeightFamily.legendre(), n_fit + 1))
     assert memo(big.basis) is not big
     assert memo.held_size() <= budget
+    memo.cache_clear()
+    assert memo.held_size() == 0
+
+
+def _legendre_scaled(n, side="+", a=0.0, b=1.0):
+    return scale(build_integration_matrices(build_basis(WeightFamily.legendre(), n)),
+                 side, IntervalMap(a, b))
+
+
+def test_repeated_factorization_shares_the_memoized_read_only_arrays():
+    scaled = _legendre_scaled(9)
+    first = eigen_factorize(scaled)
+    # equal content in another array hits the memo; the caller's own scaled
+    # matrix is the one wrapped
+    again = ScaledMatrix(scaled.source, "+", scaled.imap, scaled.C.copy(), scaled.xi)
+    second = eigen_factorize(again)
+    assert second.scaled is again and second is not first
+    for name in ("values", "vectors", "inverse"):
+        arr = getattr(first, name)
+        assert getattr(second, name) is arr
+        assert not arr.flags.writeable
+    assert second.cond == first.cond
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 6, 15])
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_memoized_factorization_equals_an_inline_one(family, n, side):
+    scaled = scale(build_integration_matrices(build_basis(family, n)), side,
+                   IntervalMap(-0.5, 2.0))
+    lam, X = np.linalg.eig(scaled.C)
+    order = np.lexsort((lam.imag, lam.real))
+    lam, X = lam[order], X[:, order]
+    X = X / np.linalg.norm(X, axis=0)[None, :]
+    pivots = X[np.argmax(np.abs(X) > 1e-12, axis=0), np.arange(n)]
+    X = X * np.array([np.conj(c) / abs(c) for c in pivots])[None, :]
+    eigen_factorize(scaled)  # fills the memo
+    eig = eigen_factorize(scaled)
+    np.testing.assert_array_equal(eig.values, lam)
+    np.testing.assert_array_equal(eig.vectors, X)
+    np.testing.assert_array_equal(eig.inverse, np.linalg.inv(X))
+    assert eig.cond == float(np.linalg.cond(X))
+
+
+def test_same_matrix_on_another_interval_or_side_gets_its_own_entry():
+    eigs = [eigen_factorize(_legendre_scaled(7, side, 0.0, b))
+            for side, b in (("+", 1.0), ("+", 2.0), ("-", 1.0))]
+    assert len({id(eig.values) for eig in eigs}) == 3
+    assert _eigen_data.held_size() == 3 * (32 * 7 * 7 + 16 * 7)
+    # a matrix one ulp away from a held one misses
+    scaled = _legendre_scaled(7)
+    moved = scaled.C.copy()
+    moved[3, 2] = np.nextafter(moved[3, 2], 1.0)
+    other = eigen_factorize(ScaledMatrix(scaled.source, "+", scaled.imap, moved,
+                                         scaled.xi))
+    assert other.values is not eigs[0].values
+
+
+def test_refused_matrix_is_held_without_an_inverse():
+    scaled = _legendre_scaled(16)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(IllConditionedError) as err:
+            eigen_factorize(scaled)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "exceeds 1.0e+08 (n=16, family legendre)" in messages[0]
+    held = _eigen_data(scaled.C)
+    assert held.cond > _COND_LIMIT and held.inverse is None
+    # a larger limit accepts the held spectrum and inverts it on this call
+    eig = eigen_factorize(scaled, cond_limit=1e12)
+    assert eig.values is held.values and eig.cond == held.cond
+    np.testing.assert_array_equal(eig.inverse, np.linalg.inv(held.vectors))
+    assert not eig.inverse.flags.writeable
+    assert _eigen_data(scaled.C).inverse is None
+
+
+def test_singular_eigenvector_basis_is_refused_not_inverted():
+    # a Jordan block: both eigenvector columns point the same way
+    bas = build_basis(WeightFamily.legendre(), 2)
+    imap = IntervalMap(0.0, 1.0)
+    jordan = ScaledMatrix(build_integration_matrices(bas), "+", imap,
+                          np.array([[0.0, 1.0], [0.0, 0.0]]), imap.forward(bas.nodes))
+    for _ in range(2):
+        with pytest.raises(IllConditionedError):
+            eigen_factorize(jordan)
+
+
+def test_eigen_memo_holds_at_most_its_byte_budget():
+    memo, budget, n = _eigen_data, _EIGEN_MEMO_BYTES, 10
+    cost = 32 * n * n + 16 * n
+    count = 3 * budget // cost  # three budgets' worth of distinct matrices
+    eigs = []
+    for k in range(count):
+        eigs.append(eigen_factorize(_legendre_scaled(n, "+", 0.0, 1.0 + k / count)))
+        assert memo.held_size() <= budget
+    assert memo.held_size() > budget - cost
+    # the least recently used entry went first, the latest is still held
+    assert eigen_factorize(eigs[-1].scaled).values is eigs[-1].values
+    assert eigen_factorize(eigs[0].scaled).values is not eigs[0].values
     memo.cache_clear()
     assert memo.held_size() == 0

@@ -10,6 +10,11 @@ checked with
     python3 tools/cli_digests.py > change.txt
     diff parent.txt change.txt
 
+The grid runs twice in one process and only the first pass is printed; the
+script exits non-zero, naming the request, if a repeat's digest differs from
+its first run, so the answers served from the memos are checked byte for
+byte as well as the builds that fill them.
+
 The optional argument is the root of the checkout to import intop from
 (default: the one holding this script). Only the standard library is used
 besides intop itself.
@@ -65,16 +70,27 @@ def digest(main, argv: list[str]) -> tuple[int, str]:
     return code, h.hexdigest()
 
 
-def run(root: Path) -> None:
+def run(root: Path) -> int:
+    """Print the first pass; return the number of repeats that differ."""
     sys.path.insert(0, str(root / "src"))
     from intop.cli import main
 
-    for argv in grid():
+    requests = grid()
+    first = []
+    for argv in requests:
         code, hexdigest = digest(main, argv)
+        first.append(hexdigest)
         print(code, hexdigest, " ".join(argv), flush=True)
+    mismatches = 0
+    for argv, hexdigest in zip(requests, first):
+        if digest(main, argv)[1] != hexdigest:
+            mismatches += 1
+            print("repeat differs:", " ".join(argv), file=sys.stderr)
+    return mismatches
 
 
 if __name__ == "__main__":
     if len(sys.argv) > 2:
         sys.exit("usage: cli_digests.py [checkout-root]")
-    run(Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])
+    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+    sys.exit(1 if run(root) else 0)
