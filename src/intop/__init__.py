@@ -8,16 +8,14 @@ from .basis import (ExtrapolationWarning, IntervalMap, QuadratureBasis,
                     WeightFamily, barycentric_weights, build_basis,
                     interpolate, lagrange_cardinal, legendre_coefficients,
                     orthonormal_table, recurrence_coefficients)
-from .convolve import (ControlResult, ControlSpec, control_demo,
-                       control_inverse, control_response, convolve,
-                       damped_bessel_symbol)
+from .convolve import (ControlSpec, control_demo, control_inverse,
+                       control_response, convolve, damped_bessel_symbol)
 from .errors import (IllConditionedError, NodeComputationError,
                      NonContractionError, NumericalError, OracleError,
                      PoleEvaluationError, SingularDesignError)
 from .intmat import (EigenFactorization, IntegrationMatrices, ScaledMatrix,
                      ScalarSymbol, apply_real, build_integration_matrices,
-                     eigen_factorize, matrix_apply, matrix_function, scale,
-                     symbol_on_spectrum)
+                     eigen_factorize, matrix_function, scale, symbol_on_spectrum)
 from .invert import fourier_demo, fourier_invert, laplace_demo, laplace_invert
 from .ode import (ChainResult, OdeProblem, PicardResult, hermite_refine,
                   picard_solve, restart_extend, tangent_demo)

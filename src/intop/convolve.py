@@ -5,9 +5,9 @@ scaled integration matrix of the matching side, the convolution values are
 symbol(+i C^{-1}) g (left-running) or symbol(-i C^{-1}) g (right-running),
 evaluated through the eigendecomposition. The side and interval are those of
 the factorization passed in; intmat.symbol_on_spectrum picks the argument
-and checks the kernel transform's region. The control demo drives the
-right-running case with a damped Bessel kernel and also exposes the inverse
-design map (recover the control from a wanted response).
+and checks the kernel transform's region. control_response drives the
+right-running case with a damped Bessel kernel and control_inverse recovers
+the control from a wanted response; only control_demo computes diagnostics.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .report import SolveReport
 
 __all__ = [
     "ControlSpec",
-    "ControlResult",
     "convolve",
     "damped_bessel_symbol",
     "control_response",
@@ -53,13 +52,6 @@ class ControlSpec:
             raise ValueError("alpha must be positive")
 
 
-@dataclass(frozen=True)
-class ControlResult:
-    response: np.ndarray
-    closed_form_deviation: float
-    imag_residue: float
-
-
 def damped_bessel_symbol(alpha: float) -> ScalarSymbol:
     """Transform of the reflected kernel: int_0^inf e^{-alpha s} J0(s) e^{-isy} ds.
 
@@ -69,7 +61,7 @@ def damped_bessel_symbol(alpha: float) -> ScalarSymbol:
     def fn(y):
         z = alpha + 1j * np.asarray(y)
         return (1.0 + z * z) ** -0.5
-    return ScalarSymbol(fn, "lower", f"damped_bessel({alpha:g})")
+    return ScalarSymbol(fn, "lower")
 
 
 def _design_diagonal(alpha: float, lam: np.ndarray) -> np.ndarray:
@@ -77,18 +69,11 @@ def _design_diagonal(alpha: float, lam: np.ndarray) -> np.ndarray:
     return np.sqrt((1.0 + alpha * alpha) * lam * lam + 2.0 * alpha * lam + 1.0)
 
 
-def control_response(spec: ControlSpec, eig: EigenFactorization) -> ControlResult:
-    """Response p(t) = int_t^b e^{alpha(t-tau)} J0(t-tau) e^{-beta tau} dtau.
-
-    Computed by the generic symbol route; the closed form through the design
-    diagonal lam_j/d_j is evaluated alongside and the gap recorded.
-    """
-    phi = symbol_on_spectrum(eig, damped_bessel_symbol(spec.alpha), "fourier")
-    g = np.exp(-spec.beta * eig.scaled.xi)
-    response, residue = apply_real(eig, phi, g)
-    closed, _ = apply_real(
-        eig, lambda lam: lam / _design_diagonal(spec.alpha, lam), g)
-    return ControlResult(response, float(np.abs(response - closed).max()), residue)
+def control_response(spec: ControlSpec, eig: EigenFactorization) -> np.ndarray:
+    """Response p(t) = int_t^b e^{alpha(t-tau)} J0(t-tau) e^{-beta tau} dtau
+    at the mapped nodes, by the generic symbol route."""
+    return convolve(damped_bessel_symbol(spec.alpha),
+                    np.exp(-spec.beta * eig.scaled.xi), eig)
 
 
 def control_inverse(spec: ControlSpec, eig: EigenFactorization, p: np.ndarray) -> np.ndarray:
@@ -103,46 +88,45 @@ def control_inverse(spec: ControlSpec, eig: EigenFactorization, p: np.ndarray) -
     return out
 
 
-def _printed_variant_deviation(alpha: float, beta: float, eig: EigenFactorization,
-                               response: np.ndarray) -> float:
-    """Gap between the response and a variant with an extra 1/(alpha+iy)
-    prefactor on the transform, which floats around in the wild; the demo
-    records it to show the variant is wrong."""
-    g = np.exp(-beta * eig.scaled.xi)
-    phi = symbol_on_spectrum(eig, damped_bessel_symbol(alpha), "fourier")
-    printed, _ = apply_real(eig, lambda lam: phi(lam) / (alpha + 1.0 / lam), g)
-    return float(np.abs(response - printed).max())
-
-
 _REFERENCE_N = 11
 
 
+def _gap(eig: EigenFactorization, phi, g: np.ndarray, response: np.ndarray) -> float:
+    other, _ = apply_real(eig, phi, g)
+    return float(np.abs(response - other).max())
+
+
 def _control_solution(alpha: float, beta: float, imap: IntervalMap, n: int):
+    """Order-n basis, factorization, g = e^{-beta xi}, kernel rule phi and
+    response, its imaginary residue and its gap to the closed form lam/d."""
     bas = build_basis(WeightFamily.legendre(), n)
     eig = eigen_factorize(scale(build_integration_matrices(bas), "-", imap))
-    spec = ControlSpec(alpha, beta)
-    return bas, eig, control_response(spec, eig)
+    ControlSpec(alpha, beta)  # validated after the factorization
+    g = np.exp(-beta * eig.scaled.xi)
+    phi = symbol_on_spectrum(eig, damped_bessel_symbol(alpha), "fourier")
+    response, residue = apply_real(eig, phi, g)
+    closed = _gap(eig, lambda lam: lam / _design_diagonal(alpha, lam), g, response)
+    return bas, eig, g, phi, response, residue, closed
 
 
 def control_demo(n: int = 5, fine_points: int = 100, alpha: float = 1.0,
                  beta: float = 0.7, a: float = 0.0, b: float = 3.0) -> SolveReport:
     """Control demo report; the 'exact' columns hold the order-11 reference
-    interpolated to the requested meshes (no closed form exists)."""
+    interpolated to the requested meshes (no closed form exists). The metadata
+    also has the gap to a circulating misprint: an extra 1/(alpha+iy) factor."""
     imap = IntervalMap(a, b)
-    bas, eig, result = _control_solution(alpha, beta, imap, n)
+    bas, eig, g, phi, response, residue, closed = _control_solution(alpha, beta, imap, n)
     fine = np.linspace(a, b, fine_points)
-    computed_fine = interpolate(bas, imap, result.response, fine)
-    if n == _REFERENCE_N:
-        ref_bas, ref_eig, ref_result = bas, eig, result
-    else:
-        ref_bas, ref_eig, ref_result = _control_solution(alpha, beta, imap, _REFERENCE_N)
-    ref_coarse = interpolate(ref_bas, imap, ref_result.response, eig.scaled.xi)
-    ref_fine = interpolate(ref_bas, imap, ref_result.response, fine)
+    computed_fine = interpolate(bas, imap, response, fine)
+    ref_bas, ref_response, ref_closed = bas, response, closed
+    if n != _REFERENCE_N:
+        ref_bas, _, _, _, ref_response, _, ref_closed = _control_solution(
+            alpha, beta, imap, _REFERENCE_N)
+    ref_coarse = interpolate(ref_bas, imap, ref_response, eig.scaled.xi)
+    ref_fine = interpolate(ref_bas, imap, ref_response, fine)
+    printed = _gap(eig, lambda lam: phi(lam) / (alpha + 1.0 / lam), g, response)
     meta = {"alpha": alpha, "beta": beta, "exact_kind": f"reference_n{_REFERENCE_N}",
-            "closed_form_deviation": result.closed_form_deviation,
-            "printed_variant_deviation": _printed_variant_deviation(
-                alpha, beta, eig, result.response),
-            "imag_residue": result.imag_residue,
-            "reference_closed_form_deviation": ref_result.closed_form_deviation}
+            "closed_form_deviation": closed, "printed_variant_deviation": printed,
+            "imag_residue": residue, "reference_closed_form_deviation": ref_closed}
     return SolveReport("control", n, a, b, eig.scaled.xi, ref_coarse,
-                       result.response, fine, ref_fine, computed_fine, meta)
+                       response, fine, ref_fine, computed_fine, meta)

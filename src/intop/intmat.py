@@ -8,11 +8,13 @@ identity (DLMF 18.9); build_integration_matrices states the accuracy
 measured. Applied to node values they reproduce the one-sided indefinite
 integrals of the interpolant, and rescaled to an interval (a, b) they act
 as the discrete indefinite-integration operators there; analytic functions
-of those operators are evaluated through the eigendecomposition.
+of those operators are evaluated through the eigendecomposition, applied to
+a vector by apply_real or assembled densely by matrix_function.
 
 Two bounded memos serve repeated requests: the matrix pair of each basis,
 and the spectral data (eigenvalues, eigenvectors, their condition number and
-inverse) of each scaled matrix, keyed on the exact content of C.
+inverse) of each scaled matrix, keyed on the exact content of C. A matrix
+whose eigenvector basis eigen_factorize refuses is held without an inverse.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "scale",
     "eigen_factorize",
     "symbol_on_spectrum",
-    "matrix_apply",
     "matrix_function",
     "apply_real",
 ]
@@ -119,7 +120,6 @@ class ScalarSymbol:
 
     fn: Callable[[np.ndarray], np.ndarray]
     region: str
-    name: str = ""
 
     def __post_init__(self):
         if self.region not in ("upper", "lower", "right", "entire"):
@@ -203,22 +203,12 @@ def scale(mats: IntegrationMatrices, side: str, imap: IntervalMap) -> ScaledMatr
     return ScaledMatrix(mats, side, imap, C, xi)
 
 
-@dataclass(frozen=True)
-class _EigenData:
-    """The parts of an EigenFactorization that depend on C alone; inverse is
-    None when cond exceeds _COND_LIMIT."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-    cond: float
-    inverse: np.ndarray | None
-
-
 @lru_memo(key=lambda C: (C.dtype.str, C.shape, C.tobytes()), budget=_EIGEN_MEMO_BYTES,
-          size=lambda d: sum(a.nbytes for a in (d.values, d.vectors, d.inverse)
-                             if a is not None))
-def _eigen_data(C: np.ndarray) -> _EigenData:
-    """The spectral data eigen_factorize returns, normalized as it states.
+          size=lambda d: sum(a.nbytes for a in d if isinstance(a, np.ndarray)))
+def _eigen_data(C: np.ndarray):
+    """(values, vectors, cond, inverse) of C, normalized as eigen_factorize
+    states; inverse is None when cond exceeds _COND_LIMIT, so a refusal is
+    held too.
 
     Memoized on the exact content of C, arrays read-only;
     _eigen_data.cache_clear() drops the held entries."""
@@ -234,26 +224,23 @@ def _eigen_data(C: np.ndarray) -> _EigenData:
     cond = float(np.linalg.cond(X))
     # a refused basis may be singular, where inv would raise LinAlgError
     inverse = read_only(np.linalg.inv(X)) if cond <= _COND_LIMIT else None
-    return _EigenData(read_only(lam), read_only(X), cond, inverse)
+    return read_only(lam), read_only(X), cond, inverse
 
 
-def eigen_factorize(scaled: ScaledMatrix, cond_limit: float = _COND_LIMIT) -> EigenFactorization:
+def eigen_factorize(scaled: ScaledMatrix) -> EigenFactorization:
     """Eigendecomposition with a deterministic ordering and phase convention.
 
     Eigenvalues sort by (real, imag); eigenvector columns get unit 2-norm and
     a phase making their first significant component real non-negative.
-    Raises IllConditionedError when the eigenvector basis is unusable. Equal
+    Raises IllConditionedError when cond(V) exceeds _COND_LIMIT. Equal
     matrices share their (read-only) spectral arrays.
     """
-    data = _eigen_data(scaled.C)
-    if data.cond > cond_limit:
+    values, vectors, cond, inverse = _eigen_data(scaled.C)
+    if inverse is None:
         raise IllConditionedError(
-            f"eigenvector condition {data.cond:.3e} exceeds {cond_limit:.1e} "
+            f"eigenvector condition {cond:.3e} exceeds {_COND_LIMIT:.1e} "
             f"(n={scaled.basis.n}, family {scaled.basis.family.label})")
-    inverse = data.inverse
-    if inverse is None:  # refused under the default limit, accepted under this one
-        inverse = read_only(np.linalg.inv(data.vectors))
-    return EigenFactorization(scaled, data.values, data.vectors, inverse, data.cond)
+    return EigenFactorization(scaled, values, vectors, inverse, cond)
 
 
 def symbol_on_spectrum(eig: EigenFactorization, symbol: ScalarSymbol, kind: str):
@@ -283,27 +270,23 @@ def _spectral_values(eig: EigenFactorization, phi) -> np.ndarray:
     return vals
 
 
-def matrix_apply(eig: EigenFactorization, phi, v: np.ndarray) -> np.ndarray:
-    """Evaluate phi(C) v through the factorization; callers pre-compose any
-    argument transform into phi (see symbol_on_spectrum). Non-finite
-    phi(lambda) raises PoleEvaluationError naming the eigenvalue."""
-    vals = _spectral_values(eig, phi)
-    return eig.vectors @ (vals * (eig.inverse @ np.asarray(v, dtype=np.complex128)))
-
-
 def matrix_function(eig: EigenFactorization, phi) -> np.ndarray:
     """Assemble phi(C) as a dense (complex) matrix; same pole policy as
-    matrix_apply."""
+    apply_real."""
     return eig.vectors @ (_spectral_values(eig, phi)[:, None] * eig.inverse)
 
 
 def apply_real(eig: EigenFactorization, phi, v: np.ndarray):
-    """matrix_apply for real data: returns (real part, relative imaginary residue).
+    """phi(C) v for real data: returns (real part, relative imaginary residue).
 
-    With a real input and a conjugate-symmetric symbol the residue sits at
-    roundoff level; it is reported, not hidden, so pipelines can record it.
+    Callers pre-compose any argument transform into phi (see
+    symbol_on_spectrum); non-finite phi(lambda) raises PoleEvaluationError
+    naming the eigenvalue. With a real input and a conjugate-symmetric symbol
+    the residue sits at roundoff level; it is reported, not hidden, so
+    pipelines can record it.
     """
-    out = matrix_apply(eig, phi, v)
+    vals = _spectral_values(eig, phi)
+    out = eig.vectors @ (vals * (eig.inverse @ np.asarray(v, dtype=np.complex128)))
     scale_ = float(np.linalg.norm(out))
     residue = float(np.linalg.norm(out.imag) / scale_) if scale_ > 0.0 else 0.0
     return out.real.copy(), residue

@@ -65,8 +65,7 @@ def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     the assembled linear system (I + C) f = 1 and the gap recorded.
     """
     imap, bas, eig = _demo_scaffold(n, a, b)
-    symbol = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)), "upper",
-                          "exp_decay_transform")
+    symbol = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)), "upper")
     computed = fourier_invert(symbol, eig)
     direct = np.linalg.solve(np.eye(n) + eig.scaled.C, np.ones(n))
     fine = np.linspace(a, b, fine_points)
@@ -83,7 +82,7 @@ def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     imap, bas, eig = _demo_scaffold(n, a, b)
     symbol = ScalarSymbol(
         lambda s: 0.5 - np.arctan(np.asarray(s, dtype=np.complex128) / np.pi) / np.pi,
-        "right", "sinc_transform")
+        "right")
     computed = laplace_invert(symbol, eig)
     fine = np.linspace(a, b, fine_points)
     meta = {"transform": "1/2 - arctan(s/pi)/pi", "exact_kind": "closed_form"}

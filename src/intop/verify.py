@@ -42,6 +42,13 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20137
+_NORM_DEGREE = 8  # of check_norm_bound's random polynomials
+# check_half_line_pairing: truncations T, cut of the y integral, Gauss points
+# per panel, and the scale of each row's tolerance _TOL_SCALE / T
+_TRUNCATIONS = (2.0, 4.0, 8.0, 16.0)
+_Y_CUT = 40.0
+_PANEL_POINTS = 12
+_TOL_SCALE = 5.0
 
 
 def _integral(f, a, b, tol, left=None, right=None):
@@ -99,8 +106,8 @@ class NormBoundReport:
         return self.max_ratio <= self.bound + 1e-10
 
 
-def check_norm_bound(samples: int, interval, n_poly: int = 8,
-                     seed: int = DEFAULT_SEED, include=()) -> NormBoundReport:
+def check_norm_bound(samples: int, interval, seed: int = DEFAULT_SEED,
+                     include=()) -> NormBoundReport:
     """Ratios ||cumulative integral of g||_2 / ||g||_2 over random polynomials.
 
     Each ratio must stay below (b - a)/sqrt(2); violating that raises. The
@@ -113,7 +120,7 @@ def check_norm_bound(samples: int, interval, n_poly: int = 8,
     bound = (b - a) / math.sqrt(2.0)
     rng = np.random.default_rng(seed)
     coeff_rows = [np.asarray(c, dtype=np.float64) for c in include]
-    coeff_rows += [rng.standard_normal(n_poly + 1) for _ in range(samples)]
+    coeff_rows += [rng.standard_normal(_NORM_DEGREE + 1) for _ in range(samples)]
     ratios = []
     skipped = 0
     for coeffs in coeff_rows:
@@ -184,22 +191,18 @@ class HalfLineReport:
         return shrinking and all(max(r.re_err, r.im_err) <= r.tol for r in self.rows)
 
 
-def check_half_line_pairing(f, truncations=(2.0, 4.0, 8.0, 16.0), y_cut: float = 40.0,
-                      panel_points: int = 12, tol_scale: float = 5.0) -> HalfLineReport:
+def check_half_line_pairing(f) -> HalfLineReport:
     """Pair the transform's derivative against the transform on (0, T).
 
     F(x) = int_0^ycut e^{ixy} f(y) dy is formed on one fixed composite Gauss
     grid fine enough for the largest T (panel width <= pi/(2 T_max)), and
     conj(i F')(x) F(x) is integrated adaptively over (0, T) for each T. f
-    must be real-valued with f and y*f integrable (decayed out by y_cut).
+    must be real-valued with f and y*f integrable (decayed out by ycut).
     """
-    ts = sorted(float(t) for t in truncations)
-    if not ts or ts[0] <= 0.0:
-        raise ValueError("truncations must be positive")
-    width = min(math.pi / (2.0 * ts[-1]), y_cut)
-    panels = int(math.ceil(y_cut / width))
-    ref_x, ref_w = np.polynomial.legendre.leggauss(panel_points)
-    edges = np.linspace(0.0, y_cut, panels + 1)
+    width = min(math.pi / (2.0 * _TRUNCATIONS[-1]), _Y_CUT)
+    panels = int(math.ceil(_Y_CUT / width))
+    ref_x, ref_w = np.polynomial.legendre.leggauss(_PANEL_POINTS)
+    edges = np.linspace(0.0, _Y_CUT, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     yq = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
@@ -226,12 +229,12 @@ def check_half_line_pairing(f, truncations=(2.0, 4.0, 8.0, 16.0), y_cut: float =
         return seen[key]
 
     rows = []
-    for t in ts:
+    for t in _TRUNCATIONS:
         q = _integral(pairing, 0.0, t, 1e-11)
         rows.append(TruncationRow(t, float(np.real(q)), float(np.imag(q)),
                                   abs(float(np.real(q)) - re_target),
                                   abs(float(np.imag(q)) - im_target),
-                                  tol_scale / t))
+                                  _TOL_SCALE / t))
     return HalfLineReport(tuple(rows), re_target, im_target)
 
 
@@ -382,10 +385,10 @@ def _hull_contains(cloud: np.ndarray, targets: np.ndarray, tol: float) -> bool:
     """Convex containment of target points in a 2-d cloud to tolerance."""
     pts = np.column_stack([cloud.real, cloud.imag])
     tgt = np.column_stack([targets.real, targets.imag])
+    from scipy.spatial import ConvexHull, QhullError
     try:
-        from scipy.spatial import ConvexHull, QhullError
         hull = ConvexHull(pts)
-    except Exception:
+    except QhullError:
         # collinear/degenerate cloud: check along the principal direction
         center = pts.mean(axis=0)
         rel = pts - center

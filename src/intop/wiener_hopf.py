@@ -103,10 +103,8 @@ def truncated_exp_kernel_symbols():
     of the defining integrals int k(+-s) e^{-+isy} ds over the half-line; the
     kernel is negative, so both transforms are -(e^2 - 1) and -1 at y = 0.
     """
-    plus = ScalarSymbol(lambda y: -1.0 / (1.0 - 1j * np.asarray(y)), "upper",
-                        "exp_kernel_plus")
-    minus = ScalarSymbol(lambda y: -_expm1_over(1.0 - 1j * np.asarray(y)), "entire",
-                         "exp_kernel_minus")
+    plus = ScalarSymbol(lambda y: -1.0 / (1.0 - 1j * np.asarray(y)), "upper")
+    minus = ScalarSymbol(lambda y: -_expm1_over(1.0 - 1j * np.asarray(y)), "entire")
     return plus, minus
 
 

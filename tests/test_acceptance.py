@@ -108,8 +108,7 @@ def test_criterion_05_collapse_exactness():
                                     imap))
         worst = 0.0
         for k, exact in ((1, np.ones(5)), (2, eig.scaled.xi)):
-            sym = ScalarSymbol(lambda s, k=k: (1.0 / np.asarray(s)) ** k,
-                               "right", f"monomial_{k}")
+            sym = ScalarSymbol(lambda s, k=k: (1.0 / np.asarray(s)) ** k, "right")
             f = laplace_invert(sym, eig)
             worst = max(worst, np.abs(f - exact).max())
         print(f"  max node deviation {worst:.3e} (tol 1e-11)")
@@ -130,17 +129,17 @@ def test_criterion_06_control_demo_reference_oracle_roundtrip():
         eig = eigen_factorize(scale(build_integration_matrices(bas), "-",
                                     imap))
         spec_ = ControlSpec(alpha, beta)
-        result = control_response(spec_, eig)
+        response = control_response(spec_, eig)
         oracle = direct_convolution(
             lambda s: np.exp(alpha * s) * bessel_j0(s),
             lambda t: np.exp(-beta * t), "-", imap, eig.scaled.xi, tol=1e-12)
-        gap = np.abs(result.response - oracle).max()
+        gap = np.abs(response - oracle).max()
         print(f"  n=11 vs direct quadrature {gap:.3e} "
               f"(tol {THRESH['control_n11_vs_oracle']:.1e})")
         assert gap <= THRESH["control_n11_vs_oracle"]
 
         demand = np.exp(-beta * eig.scaled.xi)
-        back = control_inverse(spec_, eig, result.response)
+        back = control_inverse(spec_, eig, response)
         rt = np.abs(back - demand).max()
         print(f"  inverse-design round trip {rt:.3e} "
               f"(tol {THRESH['control_roundtrip']:.1e})")

@@ -18,8 +18,7 @@ def make_eig(n, a, b, side="+"):
                                  IntervalMap(a, b)))
 
 
-EXP_SYMBOL = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)),
-                          "upper", "exp_decay")
+EXP_SYMBOL = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)), "upper")
 
 
 def test_left_running_exponential_kernel():
@@ -110,9 +109,9 @@ def test_control_spec_validation():
 def test_control_inverse_roundtrip():
     spec = ControlSpec(1.0, 0.7)
     eig = make_eig(8, 0.0, 3.0, side="-")
-    res = control_response(spec, eig)
+    response = control_response(spec, eig)
     demand = np.exp(-0.7 * eig.scaled.xi)
-    back = control_inverse(spec, eig, res.response)
+    back = control_inverse(spec, eig, response)
     assert np.abs(back - demand).max() < THRESH["control_roundtrip"]
 
 

@@ -13,7 +13,7 @@ from intop.errors import IllConditionedError, PoleEvaluationError
 from intop.intmat import (_COND_LIMIT, _EIGEN_MEMO_BYTES, _MATRIX_MEMO_BYTES,
                           ScalarSymbol, ScaledMatrix, _eigen_data, _incomplete_beta,
                           apply_real, build_integration_matrices, eigen_factorize,
-                          matrix_apply, matrix_function, scale, symbol_on_spectrum)
+                          matrix_function, scale, symbol_on_spectrum)
 from intop.oracle import QuadratureRequest, adaptive_integrate
 
 
@@ -212,15 +212,15 @@ def test_matrix_function_exponential():
     np.testing.assert_allclose(ours.real, ref, atol=1e-11)
 
 
-def test_matrix_apply_resolvent():
+def test_apply_real_resolvent():
     bas = build_basis(WeightFamily.legendre(), 6)
     scaled = scale(build_integration_matrices(bas), "+", IntervalMap(0.0, 1.0))
     eig = eigen_factorize(scaled)
     v = np.sin(scaled.xi)
-    ours = matrix_apply(eig, lambda lam: 1.0 / (1.0 + lam), v)
+    ours, residue = apply_real(eig, lambda lam: 1.0 / (1.0 + lam), v)
     ref = np.linalg.solve(np.eye(6) + scaled.C, v)
-    np.testing.assert_allclose(ours.real, ref, atol=1e-11)
-    assert np.max(np.abs(ours.imag)) < 1e-11
+    np.testing.assert_allclose(ours, ref, atol=1e-11)
+    assert residue < 1e-11
 
 
 def test_pole_on_spectrum_raises():
@@ -229,7 +229,7 @@ def test_pole_on_spectrum_raises():
     eig = eigen_factorize(scaled)
     lam0 = eig.values[0]
     with pytest.raises(PoleEvaluationError):
-        matrix_apply(eig, lambda lam: 1.0 / (lam - lam0), np.ones(4))
+        apply_real(eig, lambda lam: 1.0 / (lam - lam0), np.ones(4))
     with pytest.raises(PoleEvaluationError):
         matrix_function(eig, lambda lam: 1.0 / (lam - lam0))
 
@@ -248,7 +248,7 @@ def test_symbol_on_spectrum_argument_and_region(kind, side, region):
     eig = eigen_factorize(scale(build_integration_matrices(bas), side,
                                 IntervalMap(0.0, 2.0)))
     sym = ScalarSymbol(lambda z: np.exp(-np.asarray(z)) / (3.0 + np.asarray(z)),
-                       region, "probe")
+                       region)
     arg, regions = SPECTRUM_RULE.get((kind, side), (None, ()))
     if region not in regions:
         with pytest.raises(ValueError):
@@ -270,8 +270,7 @@ def test_apply_real_reports_residue():
 
 
 def test_scalar_symbol_is_callable_and_validated():
-    sym = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)), "upper",
-                       "decay kernel")
+    sym = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)), "upper")
     assert sym(0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ScalarSymbol(lambda y: y, "north")
@@ -400,14 +399,8 @@ def test_refused_matrix_is_held_without_an_inverse():
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "exceeds 1.0e+08 (n=16, family legendre)" in messages[0]
-    held = _eigen_data(scaled.C)
-    assert held.cond > _COND_LIMIT and held.inverse is None
-    # a larger limit accepts the held spectrum and inverts it on this call
-    eig = eigen_factorize(scaled, cond_limit=1e12)
-    assert eig.values is held.values and eig.cond == held.cond
-    np.testing.assert_array_equal(eig.inverse, np.linalg.inv(held.vectors))
-    assert not eig.inverse.flags.writeable
-    assert _eigen_data(scaled.C).inverse is None
+    _, _, cond, inverse = _eigen_data(scaled.C)
+    assert cond > _COND_LIMIT and inverse is None
 
 
 def test_singular_eigenvector_basis_is_refused_not_inverted():

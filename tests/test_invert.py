@@ -37,7 +37,7 @@ def test_fourier_plus_custom_transform():
     # 1/(1-iy)^2 is the one-sided transform of t e^{-t}
     eig = make_eig(8, 0.0, 4.0)
     sym = ScalarSymbol(lambda y: 1.0 / (1.0 - 1j * np.asarray(y)) ** 2,
-                       "upper", "t_exp_decay")
+                       "upper")
     out = fourier_invert(sym, eig)
     exact = eig.scaled.xi * np.exp(-eig.scaled.xi)
     assert np.abs(out - exact).max() < 1e-4
@@ -46,8 +46,7 @@ def test_fourier_plus_custom_transform():
 def test_fourier_minus_mirror():
     # right-running side recovers g(t) = e^{-(b-t)} from 1/(1+iy)
     eig = make_eig(8, 0.0, 3.0, side="-")
-    sym = ScalarSymbol(lambda y: 1.0 / (1.0 + 1j * np.asarray(y)), "lower",
-                       "mirror")
+    sym = ScalarSymbol(lambda y: 1.0 / (1.0 + 1j * np.asarray(y)), "lower")
     out = fourier_invert(sym, eig)
     exact = np.exp(-(3.0 - eig.scaled.xi))
     assert np.abs(out - exact).max() < 1e-5
@@ -67,8 +66,7 @@ def test_laplace_collapse_on_monomials():
     n = 6
     eig = make_eig(n, 0.0, 2.0)
     for k in range(1, n):
-        sym = ScalarSymbol(lambda s, k=k: (1.0 / np.asarray(s)) ** k,
-                           "right", f"monomial_{k}")
+        sym = ScalarSymbol(lambda s, k=k: (1.0 / np.asarray(s)) ** k, "right")
         f = laplace_invert(sym, eig)
         exact = eig.scaled.xi ** (k - 1) / math.factorial(k - 1)
         assert np.abs(f - exact).max() < 1e-11, k
@@ -78,11 +76,11 @@ def test_kind_and_region_validation():
     eig_plus = make_eig(3, 0.0, 1.0)
     eig_minus = make_eig(3, 0.0, 1.0, side="-")
     upper = ScalarSymbol(lambda y: np.ones_like(np.asarray(y, dtype=complex)),
-                         "upper", "flat")
+                         "upper")
     lower = ScalarSymbol(lambda y: np.ones_like(np.asarray(y, dtype=complex)),
-                         "lower", "flat")
+                         "lower")
     right = ScalarSymbol(lambda s: np.ones_like(np.asarray(s, dtype=complex)),
-                         "right", "flat")
+                         "right")
     with pytest.raises(ValueError):
         fourier_invert(lower, eig_plus)
     with pytest.raises(ValueError):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
+from scipy.spatial import ConvexHull, QhullError
 
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.errors import NumericalError
-from intop.intmat import build_integration_matrices, eigen_factorize, scale
+from intop.intmat import ScaledMatrix, build_integration_matrices, eigen_factorize, scale
 from intop.verify import (DEFAULT_SEED, check_derivative_range,
                           check_half_line_pairing, check_integral_chain,
                           check_norm_bound, check_positivity_identity,
@@ -157,6 +158,20 @@ def test_numerical_range_single_node():
     sample = numerical_range_sample(scaled, samples=50, seed=2)
     assert sample.contained
     assert sample.min_re == pytest.approx(0.5, abs=1e-12)
+
+
+def test_numerical_range_of_a_real_diagonal_matrix_is_collinear():
+    # u* C u is real for a real diagonal C, so the cloud lies on the real
+    # axis: Qhull refuses it and containment is checked along its direction
+    bas = build_basis(WeightFamily.legendre(), 3)
+    imap = IntervalMap(0.0, 1.0)
+    scaled = ScaledMatrix(build_integration_matrices(bas), "+", imap,
+                          np.diag([0.1, 0.2, 0.4]), imap.forward(bas.nodes))
+    sample = numerical_range_sample(scaled, samples=200, seed=3)
+    with pytest.raises(QhullError):
+        ConvexHull(np.column_stack([sample.points.real, sample.points.imag]))
+    assert sample.contained
+    np.testing.assert_allclose(sample.eigenvalues, [0.1, 0.2, 0.4])
 
 
 def test_numerical_range_goes_left_of_zero_at_moderate_n():

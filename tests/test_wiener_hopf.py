@@ -100,10 +100,9 @@ def test_rank_deficient_system_flags_nonunique():
     # a plus symbol equal to 1 at exactly one eigenvalue argument kills one
     # direction of I - K+ while the rest stay order one
     lam0 = eig_p.values[0]
-    probe = ScalarSymbol(lambda y: (1j / np.asarray(y)) / lam0, "entire",
-                         "single_direction")
+    probe = ScalarSymbol(lambda y: (1j / np.asarray(y)) / lam0, "entire")
     zero = ScalarSymbol(lambda y: np.zeros_like(np.asarray(y, dtype=complex)),
-                        "entire", "zero")
+                        "entire")
     problem = WienerHopfProblem(probe, zero, lambda t: np.zeros_like(t))
     result = solve(problem, eig_p, eig_m)
     assert result.sigma_max > 0.1
@@ -116,10 +115,10 @@ def test_side_and_region_validation():
     eig_p, eig_m = make_pair(4)
     lower_only = ScalarSymbol(lambda y: np.zeros_like(np.asarray(y,
                                                       dtype=complex)),
-                              "lower", "below")
+                              "lower")
     upper_only = ScalarSymbol(lambda y: np.zeros_like(np.asarray(y,
                                                       dtype=complex)),
-                              "upper", "above")
+                              "upper")
     with pytest.raises(ValueError):
         solve(WienerHopfProblem(plus, minus, demand), eig_m, eig_p)
     with pytest.raises(ValueError):

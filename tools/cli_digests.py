@@ -40,8 +40,9 @@ def grid() -> list[list[str]]:
     """matrices at n = 1, 5, 16 and for each family kind at n = 5 and 60;
     eigs and the five demos at n = 1, 5, 11, 15, 16 (the eigen route refuses
     n = 16) and once on a non-default interval; control with non-default
-    alpha and beta; the scan and the suite; both formats throughout; and
-    the suite as the verify benchmark calls it, with 100 samples."""
+    alpha and beta, and with alpha = 0 at n = 5 and 16; the scan and the
+    suite; both formats throughout; and the suite as the verify benchmark
+    calls it, with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
     requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
@@ -51,6 +52,9 @@ def grid() -> list[list[str]]:
     requests += [[cmd, "--a", a, "--b", b, *f]
                  for cmd, (a, b) in INTERVALS.items() for f in fmts]
     requests += [["control", "--alpha", "0.5", "--beta", "1.2", *f] for f in fmts]
+    # alpha = 0 is refused after the factorization: exit 1 at n = 5, exit 2
+    # at n = 16 where the factorization is refused first
+    requests += [["control", "--n", n, "--alpha", "0"] for n in ("5", "16")]
     requests += [["conjecture", "--n-max", "30", "--format", fmt]
                  for fmt in ("json", "csv")]
     requests += [["verify", "--samples", "6", "--format", fmt]
