@@ -199,10 +199,12 @@ def _reference_panel(f, lo, hi):
     return v_hi, abs(v_hi - v_lo), rad * np.sum(oracle._GAUSS_HI[1] * np.abs(f_hi))
 
 
-def _reference_adaptive(f, edges, tol):
-    """The bisection seeded gap by gap, each seed panel on its own."""
+def _reference_adaptive(f, edges, tol, pointwise=False):
+    """The bisection seeded gap by gap, each panel on its own; pointwise is
+    accepted and ignored."""
     tie = itertools.count()
     heap = []
+    edges = np.asarray(edges, dtype=np.float64).tolist()
     for gap, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         if lo < hi:
             val, err, mag = _reference_panel(f, lo, hi)
@@ -211,8 +213,14 @@ def _reference_adaptive(f, edges, tol):
     total_err = math.fsum(-item[0] for item in heap)
     total_mag = math.fsum(item[6] for item in heap)
     while total_err > max(tol, oracle._ROUNDOFF * total_mag):
-        assert len(heap) <= oracle._MAX_INTERVALS
-        assert heap[0][4] < oracle._MAX_DEPTH
+        if len(heap) > oracle._MAX_INTERVALS:
+            raise oracle._stall(f"exceeded {oracle._MAX_INTERVALS} panels",
+                                heap, total_err, tol, total_mag)
+        if heap[0][4] >= oracle._MAX_DEPTH:
+            lo, hi = heap[0][2:4]
+            raise oracle._stall(
+                f"stalled at depth {oracle._MAX_DEPTH} on [{lo!r}, {hi!r}]",
+                heap, total_err, tol, total_mag)
         neg_err, _, lo, hi, depth, v, m, gap = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         v1, e1, m1 = _reference_panel(f, lo, mid)
@@ -260,6 +268,96 @@ def test_batched_seeding_matches_per_gap_seeding_bit_for_bit(
         ref_def = adaptive_integrate(request)
     assert np.array_equal(got_run, ref_run)
     assert np.array_equal(got_def, ref_def)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except OracleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60)
+@given(st.floats(-1.0, 1.0), st.floats(0.25, 3.0),
+       st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+       st.sampled_from([np.abs, np.sign]), st.booleans(),
+       st.sampled_from([None, -0.25]), st.sampled_from([1e-10, 1e-13]),
+       st.lists(st.floats(-0.2, 1.0), min_size=0, max_size=24))
+def test_lookahead_matches_one_call_per_child_on_nonsmooth_integrands(
+        a, span, roots, shape, cplx, left, tol, offsets):
+    # |poly| has a kink and sign(poly) a jump at every root, all inside
+    # (a, a + span); at tol 1e-13 a jump stalls at the depth cap, so stall
+    # texts are compared too
+    g = 0.0 if left is None else left
+    c = P.polyfromroots([a + span * r for r in roots])
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        out = (x - a) ** g * shape(P.polyval(x, c))
+        return out * np.exp(1j * x) if cplx else out
+
+    pts = [a + span * t for t in offsets] + [a + span]
+    got = _outcome(lambda: running_integral(f, a, pts, tol, left_exponent=left))
+    got_calls = len(calls)
+    calls.clear()
+    with mock.patch.object(oracle, "_adaptive", _reference_adaptive):
+        ref = _outcome(lambda: running_integral(f, a, pts, tol, left_exponent=left))
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got, ref)
+    assert got_calls <= len(calls)
+
+
+def test_running_integral_evaluates_three_levels_per_call_on_a_kink():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.abs(x - 1.0 / 3.0)
+
+    got = running_integral(f, 0.0, np.linspace(0.05, 1.0, 20), 1e-11)
+    assert abs(got[-1] - 5.0 / 18.0) <= 1e-11
+    # one call per rule on the 20 seed panels, then on 14 panels (three
+    # levels below a popped panel) per call; one call per child made 42 calls
+    assert calls == [200, 420, 140, 294, 140, 294, 140, 294, 140, 294]
+
+
+def test_lookahead_stops_at_the_depth_cap_inside_the_popped_panel():
+    # a jump cannot meet tol: the panel holding it is bisected to the cap
+    widths = []
+    panels = oracle._panels
+
+    def recorded(f, lo, hi):
+        widths.extend(hi - lo)
+        return panels(f, lo, hi)
+
+    seen = []
+
+    def f(x):
+        seen.extend(x)
+        return np.where(x > 1.0 / 3.0, 1.0, 0.0)
+
+    with mock.patch.object(oracle, "_panels", recorded):
+        with pytest.raises(OracleError, match="stalled at depth 40"):
+            running_integral(f, 0.0, [1.0], 1e-15)
+    assert min(widths) == 2.0 ** -oracle._MAX_DEPTH
+    assert 0.0 < min(seen) and max(seen) < 1.0
+
+
+def test_adaptive_integrate_hands_its_integrand_one_panel_per_call():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.abs(x - 1.0 / 3.0)
+
+    value = quad(f, 0.0, 1.0, tol=1e-11)
+    assert abs(value - 5.0 / 18.0) <= 1e-11
+    # the integrand of verify's outer rules runs a running_integral over its
+    # abscissae, which would round differently with more panels in a call
+    assert len(calls) > 2 and calls == [10, 21] * (len(calls) // 2)
 
 
 def test_fixtures_thresholds_cover_measured():
