@@ -78,14 +78,15 @@ def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
 
 def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                  b: float = 2.0) -> SolveReport:
-    """Recover sin(pi t)/(pi t) on (0, b) from 1/2 - arctan(s/pi)/pi."""
+    """Recover sin(pi t)/(pi t) on (0, b) from arctan(pi/s)/pi, which is
+    1/2 - arctan(s/pi)/pi on Re s > 0 without its cancellation at |s| ~ 1/b."""
     imap, bas, eig = _demo_scaffold(n, a, b)
     symbol = ScalarSymbol(
-        lambda s: 0.5 - np.arctan(np.asarray(s, dtype=np.complex128) / np.pi) / np.pi,
+        lambda s: np.arctan(np.pi / np.asarray(s, dtype=np.complex128)) / np.pi,
         "right")
     computed = laplace_invert(symbol, eig)
     fine = np.linspace(a, b, fine_points)
-    meta = {"transform": "1/2 - arctan(s/pi)/pi", "exact_kind": "closed_form"}
+    meta = {"transform": "arctan(pi/s)/pi", "exact_kind": "closed_form"}
     return SolveReport("lt_invert", n, a, b, eig.scaled.xi, np.sinc(eig.scaled.xi),
                        computed, fine, np.sinc(fine),
                        interpolate(bas, imap, computed, fine), meta)

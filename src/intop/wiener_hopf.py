@@ -85,13 +85,11 @@ def solve(problem: WienerHopfProblem, eig_plus: EigenFactorization,
 
 
 def _expm1_over(z: np.ndarray) -> np.ndarray:
-    """(e^{2z} - 1)/z with the removable point filled by its series."""
+    """(e^{2z} - 1)/z with the removable point z = 0 filled by its limit 2."""
     z = np.asarray(z, dtype=np.complex128)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    out = (np.exp(2.0 * safe) - 1.0) / safe
-    series = 2.0 + 2.0 * z + (4.0 / 3.0) * z * z + (2.0 / 3.0) * z ** 3
-    return np.where(small, series, out)
+    zero = z == 0.0
+    safe = np.where(zero, 1.0, z)
+    return np.where(zero, 2.0, np.expm1(2.0 * safe) / safe)
 
 
 def truncated_exp_kernel_symbols():

@@ -60,6 +60,16 @@ def test_laplace_demo_refines():
         THRESH["lt_min_refinement_factor"]
 
 
+@pytest.mark.parametrize("b", [1e-12, 1e-300])
+def test_laplace_demo_keeps_its_digits_on_short_intervals(b):
+    # the eigenvalues of C scale like b, so the transform is taken at
+    # |s| ~ 1/b; 1/2 - arctan(s/pi)/pi lost 1.2e-2 at b = 1e-12 and 10.5
+    # at 1e-300 to cancellation there
+    rep = laplace_demo(5, b=b)
+    assert rep.max_coarse_error < 1e-12
+    assert rep.max_fine_error < 1e-12
+
+
 def test_laplace_collapse_on_monomials():
     # F(s) = s^{-k} makes the transform argument collapse to powers of C,
     # so node values of xi^{k-1}/(k-1)! come out to rounding error.

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
-from scipy.spatial import ConvexHull, QhullError
 
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.errors import NumericalError
@@ -143,44 +147,97 @@ def test_conjecture_scan_other_families_record_only():
 def test_numerical_range_contains_spectrum():
     bas = build_basis(WeightFamily.legendre(), 6)
     scaled = scale(build_integration_matrices(bas), "+", IntervalMap(0.0, 1.0))
-    sample = numerical_range_sample(scaled, samples=400, seed=9)
+    sample = numerical_range_sample(scaled)
     assert sample.contained
-    assert sample.points.shape == (400 + 6,)
-    again = numerical_range_sample(scaled, samples=400, seed=9)
+    assert sample.points.shape == (256,)
+    again = numerical_range_sample(scaled)
     np.testing.assert_array_equal(sample.points, again.points)
 
 
 def test_numerical_range_single_node():
-    # n = 1 on (0, 1): the matrix is the scalar (1/2) * 1, so the whole
-    # cloud sits on one point
+    # n = 1 on (0, 1): the matrix is the scalar (1/2) * 1, so W is one point
     bas = build_basis(WeightFamily.legendre(), 1)
     scaled = scale(build_integration_matrices(bas), "+", IntervalMap(0.0, 1.0))
-    sample = numerical_range_sample(scaled, samples=50, seed=2)
+    sample = numerical_range_sample(scaled)
     assert sample.contained
     assert sample.min_re == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(sample.points, 0.5, atol=1e-12)
+
+
+def _scaled_as(C):
+    """A Legendre scaled matrix on (0, 1) with C put in place of its own."""
+    bas = build_basis(WeightFamily.legendre(), C.shape[0])
+    imap = IntervalMap(0.0, 1.0)
+    return ScaledMatrix(build_integration_matrices(bas), "+", imap, C,
+                        imap.forward(bas.nodes))
 
 
 def test_numerical_range_of_a_real_diagonal_matrix_is_collinear():
-    # u* C u is real for a real diagonal C, so the cloud lies on the real
-    # axis: Qhull refuses it and containment is checked along its direction
-    bas = build_basis(WeightFamily.legendre(), 3)
-    imap = IntervalMap(0.0, 1.0)
-    scaled = ScaledMatrix(build_integration_matrices(bas), "+", imap,
-                          np.diag([0.1, 0.2, 0.4]), imap.forward(bas.nodes))
-    sample = numerical_range_sample(scaled, samples=200, seed=3)
-    with pytest.raises(QhullError):
-        ConvexHull(np.column_stack([sample.points.real, sample.points.imag]))
+    # u* C u is real for a real diagonal C, so W is the segment of the real
+    # axis between its smallest and largest entries
+    sample = numerical_range_sample(_scaled_as(np.diag([0.1, 0.2, 0.4])))
     assert sample.contained
     np.testing.assert_allclose(sample.eigenvalues, [0.1, 0.2, 0.4])
+    assert sample.points.real.min() == pytest.approx(0.1, abs=1e-15)
+    assert sample.points.real.max() == pytest.approx(0.4, abs=1e-15)
+    np.testing.assert_allclose(sample.points.imag, 0.0, atol=1e-15)
+    assert sample.min_re == pytest.approx(0.1, abs=1e-15)
 
 
 def test_numerical_range_goes_left_of_zero_at_moderate_n():
-    # the Rayleigh cloud pokes into the left half-plane even though every
-    # eigenvalue stays to the right; recorded, not asserted away
+    # W(C) pokes into the left half-plane even though every eigenvalue
+    # stays to the right; recorded, not asserted away
     bas = build_basis(WeightFamily.legendre(), 5)
     scaled = scale(build_integration_matrices(bas), "+", IntervalMap(-1.0, 1.0))
-    sample = numerical_range_sample(scaled, samples=2000, seed=20137)
-    assert sample.min_re < 0.0
+    sample = numerical_range_sample(scaled)
+    herm = 0.5 * (scaled.C + scaled.C.T)
+    assert sample.min_re == pytest.approx(np.linalg.eigvalsh(herm)[0], abs=1e-15)
+    assert sample.min_re == pytest.approx(-0.11035833909758, abs=1e-12)
+    assert sample.points.real.min() == pytest.approx(sample.min_re, abs=1e-12)
+    assert sample.eigenvalues.real.min() > 0.0
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 8), complex_entries=st.booleans(), normal=st.booleans(),
+       magnitude=st.sampled_from([1e-12, 1.0, 1e12]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_numerical_range_of_random_matrices(n, complex_entries, normal,
+                                            magnitude, seed):
+    # a normal matrix has its eigenvalues on the boundary of W, where only
+    # roundoff separates them from the support lines: the tolerance scales
+    # with C, so no magnitude fails on roundoff alone
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((n, n))
+    if complex_entries:
+        C = C + 1j * rng.standard_normal((n, n))
+    if normal:
+        Q, _ = np.linalg.qr(C)
+        C = Q @ np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) @ Q.conj().T
+    C *= magnitude
+    sample = numerical_range_sample(_scaled_as(C))
+    tol = 8 * n * np.finfo(np.float64).eps * np.linalg.norm(C, 2)
+    herm = 0.5 * (C + C.conj().T)
+    assert sample.min_re == pytest.approx(np.linalg.eigvalsh(herm)[0], abs=tol)
+    assert sample.contained
+    # every boundary point lies in W, so to the right of min Re W
+    assert sample.points.real.min() >= sample.min_re - tol
+
+
+def test_numerical_range_loads_no_spatial_module():
+    code = ("import sys\n"
+            "from intop.basis import IntervalMap, WeightFamily, build_basis\n"
+            "from intop.intmat import build_integration_matrices, scale\n"
+            "from intop.verify import numerical_range_sample\n"
+            "bas = build_basis(WeightFamily.legendre(), 5)\n"
+            "numerical_range_sample(scale(build_integration_matrices(bas), '+',\n"
+            "                             IntervalMap(-1.0, 1.0)))\n"
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']])\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_suite_small_run():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,8 +8,8 @@ from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
                           eigen_factorize, scale)
 from intop.oracle import QuadratureRequest, adaptive_integrate, load_fixtures
-from intop.wiener_hopf import (WienerHopfProblem, exp_kernel_demo, solve,
-                               truncated_exp_kernel_symbols)
+from intop.wiener_hopf import (WienerHopfProblem, _expm1_over, exp_kernel_demo,
+                               solve, truncated_exp_kernel_symbols)
 
 THRESH = load_fixtures()["thresholds"]
 
@@ -42,6 +43,24 @@ def test_symbols_match_their_defining_integrals():
         ref_m, _ = adaptive_integrate(QuadratureRequest(
             lambda t: -np.exp(1j * y * t) * np.exp(-t), -2.0, 0.0, tol=1e-13))
         assert abs(minus(y) - ref_m) < 1e-11, y
+
+
+def test_expm1_over_keeps_its_digits_near_zero():
+    # (e^{2z} - 1)/z against 40 digits on |z| in [1e-12, 3]. The real part of
+    # complex expm1 cancels by at most a factor 3 on this disc, so a few
+    # roundings stay below 8 eps.
+    radii = np.geomspace(1e-12, 3.0, 200)
+    angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    worst = 0.0
+    with mpmath.workdps(40):
+        for zi, got in zip(z, _expm1_over(z)):
+            w = mpmath.mpc(zi.real, zi.imag)
+            ref = mpmath.expm1(2 * w) / w
+            worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)))
+    assert worst <= 8 * np.finfo(np.float64).eps
+    # the removable point is reached: wiener-hopf at n = 1 on (0, 2) has C = 1
+    assert _expm1_over(np.array([0.0])) == 2.0
 
 
 def test_diagonal_values_have_closed_forms():
