@@ -92,13 +92,17 @@ def hermite_refine(problem: OdeProblem, result: PicardResult,
     """Evaluate the degree 2n-1 interpolant matching values and slopes.
 
     Slopes at the nodes come from the differential equation itself,
-    f(xi, Y); divided differences with doubled abscissae carry both.
+    f(xi, Y); divided differences with doubled abscissae carry both. The
+    table is built in the reference coordinate of (-1, 1): order-k
+    differences in the physical one scale like half_length^-k and overflow
+    on short intervals.
     """
+    imap = scaled.imap
     xi = scaled.xi
     y = result.values
-    slope = np.asarray(problem.rhs(xi, y), dtype=np.float64)
+    slope = imap.half_length * np.asarray(problem.rhs(xi, y), dtype=np.float64)
     m = 2 * xi.size
-    z = np.repeat(xi, 2)
+    z = np.repeat(imap.inverse(xi), 2)
     coef = np.repeat(y, 2).astype(np.float64)
     # first divided-difference column; equal abscissae take the slope
     prev = coef.copy()
@@ -112,7 +116,7 @@ def hermite_refine(problem: OdeProblem, result: PicardResult,
         nxt = (prev_col[1:] - prev_col[:-1]) / (z[order:] - z[:-order])
         table.append(nxt[0])
         prev_col = nxt
-    points = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    points = imap.inverse(np.atleast_1d(np.asarray(points, dtype=np.float64)))
     acc = np.full(points.shape, table[-1])
     for k in range(m - 2, -1, -1):
         acc = acc * (points - z[k]) + table[k]

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import intop.basis
 from intop.cli import main
 
 
@@ -127,17 +130,48 @@ def test_weighted_conjecture_scan_to_sixty(tmp_path):
 
 
 def test_node_failure_exits_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(intop.basis, "eigh_tridiagonal",
-                        lambda d, e, eigvals_only: np.zeros(d.size))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda jacobi: np.zeros(len(jacobi)))
     code, _ = run(tmp_path, "matrices", "--n", "4")
     assert code == 2
     assert "node computation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["ft-invert", "--b", "inf"], "(0, inf)"),
+    (["eigs", "--b", "inf"], "(-1, inf)"),
+    (["ft-invert", "--a=-1e308", "--b=1e308"], "(-1e+308, 1e+308)"),
+    (["ode", "--b", "inf"], "(0, inf)"),
+    (["matrices", "--family", "jacobi:inf,0"], "got inf,0"),
+    (["matrices", "--family", "gegenbauer:inf"], "got inf"),
+    (["matrices", "--family", "jacobi:0,nan"], "got 0,nan"),
+])
+def test_non_finite_input_exits_one(tmp_path, capsys, argv, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(tmp_path, *argv)
+    assert code == 1
+    assert bad in capsys.readouterr().err
 
 
 def test_weight_mass_overflow_exits_two(tmp_path, capsys):
     code, _ = run(tmp_path, "matrices", "--family", "jacobi:2000,3", "--n", "4")
     assert code == 2
     assert "overflows double precision" in capsys.readouterr().err
+
+
+def test_subcommands_run_without_scipy():
+    # scipy is a test-only dependency: with every scipy import made to fail,
+    # each subcommand still runs (verify goes through numerical_range_sample)
+    code = ("import os, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from intop.cli import main\n"
+            f"print([main(argv + ['--out', os.devnull]) for argv in {DEMOS!r}])\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == str([0] * len(DEMOS))
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

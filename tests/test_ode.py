@@ -51,6 +51,14 @@ def test_tangent_demo_accuracy():
     assert rep.max_coarse_error < THRESH["ode_n5_max_node_error"]
 
 
+@pytest.mark.parametrize("b", [1e-300, 1e-150])
+def test_hermite_refinement_on_short_intervals(b):
+    # divided differences of order 2n-1 in x would scale like b^-(2n-1) and
+    # overflow; tan is x to rounding here, so the error is a few ulps of b
+    rep = tangent_demo(5, b=b)
+    assert rep.metadata["hermite_max_fine_error"] <= 8 * np.finfo(np.float64).eps * b
+
+
 def test_unscaled_iteration_is_not_contractive():
     # dropping the half-length factor leaves the raw (-1,1)-sized matrix,
     # whose Picard map grows; the solver must notice and raise

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,23 +217,6 @@ def test_numerical_range_of_random_matrices(n, complex_entries, normal,
     assert sample.contained
     # every boundary point lies in W, so to the right of min Re W
     assert sample.points.real.min() >= sample.min_re - tol
-
-
-def test_numerical_range_loads_no_spatial_module():
-    code = ("import sys\n"
-            "from intop.basis import IntervalMap, WeightFamily, build_basis\n"
-            "from intop.intmat import build_integration_matrices, scale\n"
-            "from intop.verify import numerical_range_sample\n"
-            "bas = build_basis(WeightFamily.legendre(), 5)\n"
-            "numerical_range_sample(scale(build_integration_matrices(bas), '+',\n"
-            "                             IntervalMap(-1.0, 1.0)))\n"
-            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']])\n")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
 
 
 def test_verify_suite_small_run():

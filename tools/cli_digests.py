@@ -37,7 +37,9 @@ INTERVALS = {"eigs": ("0.5", "2.5"), "ft-invert": ("1", "3"),
 
 
 def grid() -> list[list[str]]:
-    """matrices at n = 1, 5, 16 and for each family kind at n = 5 and 60;
+    """matrices at n = 1, 5, 16 and for each family kind at n = 5, 60 and
+    200 (past every other request, where a change of node solver would
+    first move bits);
     eigs and the five demos at n = 1, 5, 11, 15, 16 (the eigen route refuses
     n = 16) and once on a non-default interval; control with non-default
     alpha and beta, and with alpha = 0 at n = 5 and 16; the scan and the
@@ -48,7 +50,7 @@ def grid() -> list[list[str]]:
     requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
                  for n in (1, 5, 11, 15, 16) for f in fmts]
     requests += [["matrices", "--family", fam, "--n", str(n), *f]
-                 for fam in FAMILIES for n in (5, 60) for f in fmts]
+                 for fam in FAMILIES for n in (5, 60, 200) for f in fmts]
     requests += [[cmd, "--a", a, "--b", b, *f]
                  for cmd, (a, b) in INTERVALS.items() for f in fmts]
     requests += [["control", "--alpha", "0.5", "--beta", "1.2", *f] for f in fmts]
