@@ -168,11 +168,11 @@ def recurrence_coefficients(family: WeightFamily, m: int):
     if m > 1:
         a[1] = (be * be - al * al) / ((2.0 + s) * (4.0 + s))
         b[1] = 4.0 * (1.0 + al) * (1.0 + be) / ((2.0 + s) ** 2 * (3.0 + s))
-    for k in range(2, m):
-        t = 2.0 * k + s
-        a[k] = (be * be - al * al) / (t * (t + 2.0))
-        b[k] = (4.0 * k * (k + al) * (k + be) * (k + s)
-                / (t * t * (t + 1.0) * (t - 1.0)))
+    k = np.arange(2.0, m)
+    t = 2.0 * k + s
+    a[2:] = (be * be - al * al) / (t * (t + 2.0))
+    b[2:] = (4.0 * k * (k + al) * (k + be) * (k + s)
+             / (t * t * (t + 1.0) * (t - 1.0)))
     if family.symmetric:
         a[:] = 0.0
     return a, b, mu0

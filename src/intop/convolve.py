@@ -12,6 +12,7 @@ the control from a wanted response; only control_demo computes diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,9 @@ class ControlSpec:
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(
+                f"alpha and beta must be finite, got {self.alpha:g},{self.beta:g}")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 

@@ -287,6 +287,17 @@ def apply_real(eig: EigenFactorization, phi, v: np.ndarray):
     """
     vals = _spectral_values(eig, phi)
     out = eig.vectors @ (vals * (eig.inverse @ np.asarray(v, dtype=np.complex128)))
+    return out.real.copy(), _imag_residue(out)
+
+
+def _imag_residue(out: np.ndarray) -> float:
+    """||Im out|| / ||out|| of a contiguous complex vector, 0 for out = 0.
+
+    Both parts are first scaled by the power of two that brings the largest
+    below 1: the scaling is exact, so the ratio keeps its bits, and the sums
+    of squares cannot overflow.
+    """
+    parts = out.view(np.float64)
+    out = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(np.complex128)
     scale_ = float(np.linalg.norm(out))
-    residue = float(np.linalg.norm(out.imag) / scale_) if scale_ > 0.0 else 0.0
-    return out.real.copy(), residue
+    return float(np.linalg.norm(out.imag) / scale_) if scale_ > 0.0 else 0.0

@@ -3,7 +3,10 @@
 y' = f(x, y), y(a) = y0 becomes Y = y0 + C f(xi, Y) at the collocation
 points; the iteration contracts when the interval (through the eigenvalue
 scale of C) and the Lipschitz constant of f cooperate, and the restart
-driver splits the interval when it does not.
+driver splits the interval when it does not. Between nodes the solution is
+the Hermite interpolant of the node values and the slopes f(xi, Y), in the
+barycentric form on the Lagrange cardinals of basis.interpolate; each
+restart is seeded from its value at the segment end.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import IntervalMap, WeightFamily, build_basis, interpolate
+from .basis import (IntervalMap, WeightFamily, _barycentric_matrix,
+                    barycentric_weights, build_basis, interpolate)
 from .errors import NonContractionError
 from .intmat import ScaledMatrix, build_integration_matrices, scale
 from .report import SolveReport
@@ -69,12 +73,14 @@ def picard_solve(problem: OdeProblem, scaled: ScaledMatrix, tol: float = 1e-12,
     y = np.full(xi.size, float(problem.y0))
     deltas = []
     for it in range(1, max_iter + 1):
-        y_next = problem.y0 + scaled.C @ np.asarray(problem.rhs(xi, y), dtype=np.float64)
-        delta = float(np.max(np.abs(y_next - y)))
-        if not np.all(np.isfinite(y_next)):
+        with np.errstate(all="ignore"):  # overflow surfaces as NonContractionError
+            rhs = np.asarray(problem.rhs(xi, y), dtype=np.float64)
+            y_next = problem.y0 + scaled.C @ rhs
+        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(y_next))):
             raise NonContractionError(
                 f"iteration produced non-finite values at step {it}; "
                 "shrink the interval and restart")
+        delta = float(np.max(np.abs(y_next - y)))
         deltas.append(delta)
         y = y_next
         if delta < tol:
@@ -92,35 +98,24 @@ def hermite_refine(problem: OdeProblem, result: PicardResult,
     """Evaluate the degree 2n-1 interpolant matching values and slopes.
 
     Slopes at the nodes come from the differential equation itself,
-    f(xi, Y); divided differences with doubled abscissae carry both. The
-    table is built in the reference coordinate of (-1, 1): order-k
-    differences in the physical one scale like half_length^-k and overflow
-    on short intervals.
+    f(xi, Y). The interpolant is the barycentric Hermite form (Schneider &
+    Werner 1991) on the Lagrange cardinals l_j that basis.interpolate uses,
+    in the reference coordinate of (-1, 1): h_j = l_j^2 (1 - 2 l_j'(x_j)
+    (t - x_j)) carries the values and g_j = (t - x_j) l_j^2 the slopes. The
+    sum is divided by sum_j h_j, which is 1 in exact arithmetic, so rounding
+    in l_j cancels as in the second barycentric form.
     """
     imap = scaled.imap
-    xi = scaled.xi
-    y = result.values
-    slope = imap.half_length * np.asarray(problem.rhs(xi, y), dtype=np.float64)
-    m = 2 * xi.size
-    z = np.repeat(imap.inverse(xi), 2)
-    coef = np.repeat(y, 2).astype(np.float64)
-    # first divided-difference column; equal abscissae take the slope
-    prev = coef.copy()
-    col = np.empty(m - 1)
-    col[0::2] = slope
-    col[1::2] = (prev[2::2] - prev[1:-1:2]) / (z[2::2] - z[1:-1:2])
-    table = [prev[0]]
-    prev_col = col
-    table.append(prev_col[0])
-    for order in range(2, m):
-        nxt = (prev_col[1:] - prev_col[:-1]) / (z[order:] - z[:-order])
-        table.append(nxt[0])
-        prev_col = nxt
-    points = imap.inverse(np.atleast_1d(np.asarray(points, dtype=np.float64)))
-    acc = np.full(points.shape, table[-1])
-    for k in range(m - 2, -1, -1):
-        acc = acc * (points - z[k]) + table[k]
-    return acc
+    x = scaled.basis.nodes
+    slope = imap.half_length * np.asarray(problem.rhs(scaled.xi, result.values),
+                                          dtype=np.float64)
+    t = imap.inverse(np.atleast_1d(np.asarray(points, dtype=np.float64)))
+    ell_sq = _barycentric_matrix(x, barycentric_weights(x), t) ** 2
+    gaps = x[:, None] - x[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    offset = t[:, None] - x[None, :]
+    h = ell_sq * (1.0 - 2.0 * np.sum(1.0 / gaps, axis=1) * offset)
+    return (h @ result.values + (offset * ell_sq) @ slope) / np.sum(h, axis=1)
 
 
 def restart_extend(problem: OdeProblem, scaled: ScaledMatrix, segments: int,

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import IntervalMap, WeightFamily, build_basis, interpolate
-from .intmat import (EigenFactorization, ScalarSymbol, build_integration_matrices,
-                     eigen_factorize, matrix_function, scale, symbol_on_spectrum)
+from .errors import NumericalError
+from .intmat import (EigenFactorization, ScalarSymbol, _imag_residue,
+                     build_integration_matrices, eigen_factorize, matrix_function,
+                     scale, symbol_on_spectrum)
 from .memo import read_only
 from .report import SolveReport
 
@@ -66,7 +68,10 @@ def solve(problem: WienerHopfProblem, eig_plus: EigenFactorization,
     phi_plus = symbol_on_spectrum(eig_plus, problem.khat_plus, "fourier")
     phi_minus = symbol_on_spectrum(eig_minus, problem.khat_minus, "fourier")
     n = eig_plus.values.size
-    g = np.asarray(problem.g(eig_plus.scaled.xi), dtype=np.float64)
+    with np.errstate(all="ignore"):  # overflow surfaces as NumericalError
+        g = np.asarray(problem.g(eig_plus.scaled.xi), dtype=np.float64)
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("right-hand side is not finite at the nodes")
     k_plus = read_only(matrix_function(eig_plus, phi_plus))
     k_minus = read_only(matrix_function(eig_minus, phi_minus))
     system = np.eye(n, dtype=np.complex128) - k_plus - k_minus
@@ -77,11 +82,11 @@ def solve(problem: WienerHopfProblem, eig_plus: EigenFactorization,
         f = np.linalg.lstsq(system, g.astype(np.complex128), rcond=None)[0]
     else:
         f = np.linalg.solve(system, g.astype(np.complex128))
+    if not np.all(np.isfinite(f)):
+        raise NumericalError("solution is not finite at the nodes")
     residual = float(np.max(np.abs(system @ f - g)))
-    scale_ = float(np.linalg.norm(f))
-    imag_residue = float(np.linalg.norm(f.imag) / scale_) if scale_ > 0 else 0.0
     return WienerHopfResult(f.real.copy(), residual, nonunique, s_min, s_max,
-                            imag_residue, k_plus, k_minus)
+                            _imag_residue(f), k_plus, k_minus)
 
 
 def _expm1_over(z: np.ndarray) -> np.ndarray:
@@ -136,6 +141,10 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     alt_system = np.eye(n, dtype=np.complex128) - result.k_plus + result.k_minus
     alt = np.linalg.lstsq(alt_system, _demo_g(xi).astype(np.complex128), rcond=None)[0]
     fine = np.linspace(a, b, fine_points)
+    with np.errstate(all="ignore"):  # e^{t^2 - t} overflows past t ~ 27.2
+        fine_exact = _demo_exact(fine)
+    if not np.all(np.isfinite(fine_exact)):
+        raise NumericalError("exact solution is not finite on the fine mesh")
     meta = {"exact_kind": "closed_form",
             "residual": result.residual,
             "nonunique": result.nonunique,
@@ -143,5 +152,5 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
             "imag_residue": result.imag_residue,
             "alt_sign_error": float(np.abs(alt.real - _demo_exact(xi)).max())}
     return SolveReport("wiener_hopf", n, a, b, xi, _demo_exact(xi), result.values,
-                       fine, _demo_exact(fine),
+                       fine, fine_exact,
                        interpolate(bas, imap, result.values, fine), meta)

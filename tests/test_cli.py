@@ -102,9 +102,14 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-def test_numerical_failure_exits_two(tmp_path, capsys):
-    code = main(["ode", "--b", "1.45", "--out",
-                 str(tmp_path / "never.csv")])
+@pytest.mark.parametrize("argv", [
+    ["ode", "--b", "1.45"],
+    ["ode", "--b", "1e300"],
+    ["wiener-hopf", "--b", "30"],
+    ["wiener-hopf", "--b", "1e300"],
+])
+def test_numerical_failure_exits_two(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "never.csv")])
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical failure" in captured.err
@@ -144,6 +149,9 @@ def test_node_failure_exits_two(tmp_path, monkeypatch, capsys):
     (["matrices", "--family", "jacobi:inf,0"], "got inf,0"),
     (["matrices", "--family", "gegenbauer:inf"], "got inf"),
     (["matrices", "--family", "jacobi:0,nan"], "got 0,nan"),
+    (["control", "--beta", "nan"], "got 1,nan"),
+    (["control", "--alpha", "nan"], "got nan,0.7"),
+    (["control", "--alpha", "inf"], "got inf,0.7"),
 ])
 def test_non_finite_input_exits_one(tmp_path, capsys, argv, bad):
     with warnings.catch_warnings():

@@ -18,9 +18,11 @@ def make_scaled(n, a, b):
     return scale(build_integration_matrices(bas), "+", IntervalMap(a, b))
 
 
-def test_linear_growth_equation():
-    # y' = 2y, y(0) = 1: two restarts reach e^2 to rounding error
-    scaled = make_scaled(9, 0.0, 1.0)
+@pytest.mark.parametrize("n", [9, 40, 60])
+def test_linear_growth_equation(n):
+    # y' = 2y, y(0) = 1: two restarts reach e^2 to rounding error, also at n
+    # = 40 and 60, where each restart's seed is a degree 79 or 119 interpolant
+    scaled = make_scaled(n, 0.0, 1.0)
     prob = OdeProblem(lambda t, y: 2.0 * y, 1.0)
     single = picard_solve(prob, scaled)
     assert single.converged
@@ -51,11 +53,18 @@ def test_tangent_demo_accuracy():
     assert rep.max_coarse_error < THRESH["ode_n5_max_node_error"]
 
 
-@pytest.mark.parametrize("b", [1e-300, 1e-150])
-def test_hermite_refinement_on_short_intervals(b):
+@pytest.mark.parametrize("n, b", [
+    pytest.param(5, 1e-300, id="1e-300"),
+    pytest.param(5, 1e-150, id="1e-150"),
+    pytest.param(30, 0.5, id="n30-0.5"),
+    pytest.param(40, 0.5, id="n40-0.5"),
+    pytest.param(60, 0.5, id="n60-0.5"),
+])
+def test_hermite_refinement_on_short_intervals(n, b):
     # divided differences of order 2n-1 in x would scale like b^-(2n-1) and
-    # overflow; tan is x to rounding here, so the error is a few ulps of b
-    rep = tangent_demo(5, b=b)
+    # overflow; tan is x to rounding here, so the error is a few ulps of b.
+    # From n = 30 tan's truncation error on (0, 0.5) is below rounding too.
+    rep = tangent_demo(n, b=b)
     assert rep.metadata["hermite_max_fine_error"] <= 8 * np.finfo(np.float64).eps * b
 
 
@@ -91,3 +100,12 @@ def test_chain_beats_single_segment():
     chain_err = np.abs(chain.values - np.tan(chain.nodes)).max()
     assert chain.converged
     assert single_err > THRESH["ode_min_chain_improvement"] * chain_err
+
+
+def test_chain_at_forty_nodes():
+    # each restart is seeded from the Hermite value at the segment end; at
+    # n = 40 the chain still lands on tan(1.3) to rounding error
+    chain = restart_extend(OdeProblem(lambda t, y: 1.0 + y * y, 0.0),
+                           make_scaled(40, 0.0, 1.3), 4)
+    assert chain.converged
+    assert chain.endpoint_value == pytest.approx(math.tan(1.3), abs=1e-12)

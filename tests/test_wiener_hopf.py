@@ -97,6 +97,14 @@ def test_demo_against_exact_solution():
     assert rep.metadata["alt_sign_error"] > 0.1
 
 
+def test_imag_residue_survives_large_solutions():
+    # on (0, 25) the solution reaches ~1e240, so its sum of squares would
+    # overflow; every value is finite and the residue stays at roundoff
+    rep = exp_kernel_demo(5, b=25.0)
+    assert np.all(np.isfinite(rep.coarse_computed))
+    assert rep.metadata["imag_residue"] < 1e-12
+
+
 def test_solver_accuracy_improves_with_n():
     coarse = exp_kernel_demo(5).max_coarse_error
     fine = exp_kernel_demo(11).max_coarse_error

@@ -6,9 +6,12 @@ together, and the arguments. Two checkouts whose outputs agree byte for byte
 print the same lines, so a change that must not alter any artifact is
 checked with
 
-    python3 tools/cli_digests.py /path/to/parent > parent.txt
-    python3 tools/cli_digests.py > change.txt
+    python3 -W error::RuntimeWarning tools/cli_digests.py /path/to/parent > parent.txt
+    python3 -W error::RuntimeWarning tools/cli_digests.py > change.txt
     diff parent.txt change.txt
+
+(with the warning filter, a RuntimeWarning leaked on any request stops the
+run with a traceback).
 
 The grid runs twice in one process and only the first pass is printed; the
 script exits non-zero, naming the request, if a repeat's digest differs from
@@ -42,9 +45,10 @@ def grid() -> list[list[str]]:
     first move bits);
     eigs and the five demos at n = 1, 5, 11, 15, 16 (the eigen route refuses
     n = 16) and once on a non-default interval; control with non-default
-    alpha and beta, and with alpha = 0 at n = 5 and 16; the scan and the
-    suite; both formats throughout; and the suite as the verify benchmark
-    calls it, with 100 samples."""
+    alpha and beta, and with alpha = 0 at n = 5 and 16; ode at n = 40; a
+    NaN drive rate and intervals too long for the ode and wiener-hopf demos;
+    the scan and the suite; both formats throughout; and the suite as the
+    verify benchmark calls it, with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
     requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
@@ -57,6 +61,11 @@ def grid() -> list[list[str]]:
     # alpha = 0 is refused after the factorization: exit 1 at n = 5, exit 2
     # at n = 16 where the factorization is refused first
     requests += [["control", "--n", n, "--alpha", "0"] for n in ("5", "16")]
+    # ode at n = 40: Hermite refinement of degree 79 stays at rounding level
+    requests += [["ode", "--n", "40", *f] for f in fmts]
+    # refused inputs: a NaN rate (exit 1) and overflowing intervals (exit 2)
+    requests += [["control", "--beta", "nan"], ["ode", "--b", "1e300"],
+                 ["wiener-hopf", "--b", "30"]]
     requests += [["conjecture", "--n-max", "30", "--format", fmt]
                  for fmt in ("json", "csv")]
     requests += [["verify", "--samples", "6", "--format", fmt]
