@@ -108,12 +108,14 @@ class WeightFamily:
 
 @dataclass(frozen=True)
 class QuadratureBasis:
-    """n Gauss nodes (strictly ascending, interior) and weights for a family."""
+    """n Gauss nodes (strictly ascending, interior) and weights for a family,
+    and table[m, k] = phi_m(x_k), the orthonormal polynomials m < n at them."""
 
     family: WeightFamily
     n: int
     nodes: np.ndarray
     gauss_weights: np.ndarray
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -192,13 +194,15 @@ def orthonormal_table(family: WeightFamily, m: int, x):
     return table
 
 
-# Gauss rules held for repeated requests. A rule is O(n), so the bound is an
-# entry count. The key is repr(family), not the family: exponents -0.0 and
+# Bytes of Gauss rules held for repeated requests: a rule costs 8 n^2 + 16 n
+# bytes (table, nodes, weights), and verify_suite's Legendre n = 1..40 scan
+# takes 190 KB. The key is repr(family), not the family: exponents -0.0 and
 # 0.0 compare equal but give different labels.
-_BASIS_MEMO_ENTRIES = 128
+_BASIS_MEMO_BYTES = 512 * 1024
 
 
-@lru_memo(key=lambda family, n: (repr(family), n), budget=_BASIS_MEMO_ENTRIES)
+@lru_memo(key=lambda family, n: (repr(family), n), budget=_BASIS_MEMO_BYTES,
+          size=lambda b: b.nodes.nbytes + b.gauss_weights.nbytes + b.table.nbytes)
 def build_basis(family: WeightFamily, n: int) -> QuadratureBasis:
     """Gauss rule of the family: eigenvalues of the Jacobi matrix, one Newton
     polish, Christoffel weights.
@@ -233,7 +237,7 @@ def build_basis(family: WeightFamily, n: int) -> QuadratureBasis:
     weights = 1.0 / np.sum(table * table, axis=0)
     if family.symmetric:
         weights = 0.5 * (weights + weights[::-1])
-    return QuadratureBasis(family, n, read_only(nodes), read_only(weights))
+    return QuadratureBasis(family, n, *map(read_only, (nodes, weights, table)))
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -304,8 +308,7 @@ def legendre_coefficients(basis: QuadratureBasis, values, max_k: int | None = No
     if not 0 <= max_k <= basis.n - 1:
         raise ValueError("max_k must lie in [0, n-1]")
     values = np.asarray(values)
-    table = orthonormal_table(basis.family, max_k, basis.nodes)
-    coeffs = table @ (basis.gauss_weights * values)
+    coeffs = basis.table[:max_k + 1] @ (basis.gauss_weights * values)
     below = np.nonzero(np.abs(coeffs) < tol)[0]
     stop = int(below[0]) if below.size else None
     return coeffs, stop

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -28,9 +29,20 @@ from .wiener_hopf import exp_kernel_demo
 __all__ = ["main"]
 
 
+# Negative values as float() reads them, so that `--a -1e300` and `--a -inf`
+# give their value to the flag; argparse's own pattern takes only -12 and -1.5.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; 2 is reserved for numerical
-    failures here, so usage errors are remapped to 1."""
+    failures here, so usage errors are remapped to 1. Any negative number
+    is read as a value, never as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

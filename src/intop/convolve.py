@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import IntervalMap, build_basis, interpolate, WeightFamily
-from .errors import SingularDesignError
+from .errors import NumericalError, SingularDesignError
 from .intmat import (EigenFactorization, ScalarSymbol, apply_real,
                      build_integration_matrices, eigen_factorize, scale,
                      symbol_on_spectrum)
@@ -73,11 +73,20 @@ def _design_diagonal(alpha: float, lam: np.ndarray) -> np.ndarray:
     return np.sqrt((1.0 + alpha * alpha) * lam * lam + 2.0 * alpha * lam + 1.0)
 
 
+def _drive(beta: float, xi: np.ndarray) -> np.ndarray:
+    """e^{-beta t} at the mapped nodes; NumericalError where it overflows."""
+    with np.errstate(all="ignore"):  # overflow surfaces as NumericalError
+        g = np.exp(-beta * xi)
+    if not np.all(np.isfinite(g)):
+        raise NumericalError(f"drive e^(-beta t) with beta = {beta:g} is not finite "
+                             "at the nodes")
+    return g
+
+
 def control_response(spec: ControlSpec, eig: EigenFactorization) -> np.ndarray:
     """Response p(t) = int_t^b e^{alpha(t-tau)} J0(t-tau) e^{-beta tau} dtau
     at the mapped nodes, by the generic symbol route."""
-    return convolve(damped_bessel_symbol(spec.alpha),
-                    np.exp(-spec.beta * eig.scaled.xi), eig)
+    return convolve(damped_bessel_symbol(spec.alpha), _drive(spec.beta, eig.scaled.xi), eig)
 
 
 def control_inverse(spec: ControlSpec, eig: EigenFactorization, p: np.ndarray) -> np.ndarray:
@@ -106,7 +115,7 @@ def _control_solution(alpha: float, beta: float, imap: IntervalMap, n: int):
     bas = build_basis(WeightFamily.legendre(), n)
     eig = eigen_factorize(scale(build_integration_matrices(bas), "-", imap))
     ControlSpec(alpha, beta)  # validated after the factorization
-    g = np.exp(-beta * eig.scaled.xi)
+    g = _drive(beta, eig.scaled.xi)
     phi = symbol_on_spectrum(eig, damped_bessel_symbol(alpha), "fourier")
     response, residue = apply_real(eig, phi, g)
     closed = _gap(eig, lambda lam: lam / _design_diagonal(alpha, lam), g, response)

@@ -52,10 +52,11 @@ _SPECTRUM_ARGS = {("fourier", "+"): (1j, ("upper", "entire")),
                   ("fourier", "-"): (-1j, ("lower", "entire")),
                   ("laplace", "+"): (1.0, ("right", "entire"))}
 # Bytes of matrix pairs held for repeated requests. A pair costs 16 n^2 bytes
-# (16 MB at n = 1000), so the bound is on bytes, not entries. The budget holds
-# the pairs that measured traffic asks for again: verify_suite's Legendre
-# n = 1..40 scan, rebuilt on every call (354 KB), and the Legendre pipelines
-# at n = 5..20 (45 KB). A pair past n = 181 is returned but not held.
+# (16 MB at n = 1000), so the bound is on bytes. Its basis's table is held
+# and counted by the basis memo, not again here. The budget holds the pairs
+# that measured traffic asks for again: verify_suite's Legendre n = 1..40
+# scan, rebuilt on every call (354 KB), and the Legendre pipelines at
+# n = 5..20 (45 KB). A pair past n = 181 is returned but not held.
 _MATRIX_MEMO_BYTES = 512 * 1024
 # Bytes of spectral data held for repeated requests: an n x n scaled matrix
 # costs 32 n^2 + 16 n bytes (eigenvectors, inverse, eigenvalues). One deck of
@@ -170,14 +171,16 @@ def build_integration_matrices(basis: QuadratureBasis) -> IntegrationMatrices:
     for m = 0 (mu0 the total mass; a, b = alpha, beta) and, by the
     Rodrigues-type identity, -(1-x)^(a+1) (1+x)^(b+1) phi^(a+1,b+1)_{m-1}(x)
     / sqrt(m (m+a+b+1)) for m >= 1. A- = 1 w^T - A+ (complement identity).
+    The values phi_m(x_k) are the basis's table.
 
     Measured for alpha, beta in [-0.999, 1.999] and n <= 60: row sums within
     3e-13 mu0 of mu0 I_{(1+x)/2}(beta+1, alpha+1), and A+ applied to t^k
     (k < n) within 7e-14 mu0 of 30-digit mpmath quadrature.
 
-    Memoized on the basis content: an equal basis returns the same pair,
-    whose arrays (and those of its basis) are read-only;
-    build_integration_matrices.cache_clear() drops the held pairs.
+    Memoized on the basis content (the table is fixed by the family and the
+    nodes): an equal basis returns the same pair, whose arrays (and those of
+    its basis) are read-only; build_integration_matrices.cache_clear() drops
+    the held pairs.
     """
     fam, n, x, w = basis.family, basis.n, basis.nodes, basis.gauss_weights
     al, be = fam.alpha, fam.beta
@@ -190,9 +193,10 @@ def build_integration_matrices(basis: QuadratureBasis) -> IntegrationMatrices:
         shifted = orthonormal_table(WeightFamily.jacobi(al + 1.0, be + 1.0), n - 2, x)
         phi[:, 1:] = (-((1.0 - x) ** (al + 1.0) * (1.0 + x) ** (be + 1.0))[:, None]
                       * shifted.T / np.sqrt(m * (m + al + be + 1.0)))
-    plus = phi @ (orthonormal_table(fam, n - 1, x) * w[None, :])
-    if x.flags.writeable or w.flags.writeable:  # a basis built by hand
-        basis = QuadratureBasis(fam, n, read_only(x.copy()), read_only(w.copy()))
+    plus = phi @ (basis.table * w[None, :])
+    arrays = (x, w, basis.table)
+    if any(arr.flags.writeable for arr in arrays):  # a basis built by hand
+        basis = QuadratureBasis(fam, n, *(read_only(arr.copy()) for arr in arrays))
     return IntegrationMatrices(basis, read_only(plus), read_only(w[None, :] - plus))
 
 

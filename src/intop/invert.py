@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import IntervalMap, WeightFamily, build_basis, interpolate
+from .errors import NumericalError
 from .intmat import (EigenFactorization, ScalarSymbol, apply_real,
                      build_integration_matrices, eigen_factorize, scale,
                      symbol_on_spectrum)
@@ -69,11 +70,14 @@ def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     computed = fourier_invert(symbol, eig)
     direct = np.linalg.solve(np.eye(n) + eig.scaled.C, np.ones(n))
     fine = np.linspace(a, b, fine_points)
+    with np.errstate(all="ignore"):  # e^{-t} overflows below t ~ -709.8
+        exact, fine_exact = np.exp(-eig.scaled.xi), np.exp(-fine)
+    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(fine_exact))):
+        raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
     meta = {"transform": "1/(1-iy)", "exact_kind": "closed_form",
             "matrix_route_gap": float(np.abs(computed - direct).max())}
-    return SolveReport("ft_invert", n, a, b, eig.scaled.xi, np.exp(-eig.scaled.xi),
-                       computed, fine, np.exp(-fine),
-                       interpolate(bas, imap, computed, fine), meta)
+    return SolveReport("ft_invert", n, a, b, eig.scaled.xi, exact, computed, fine,
+                       fine_exact, interpolate(bas, imap, computed, fine), meta)
 
 
 def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,

@@ -1,10 +1,10 @@
 """Bounded least-recently-used memos for the builds that repeated requests redo.
 
 A memo keys each call on an exact key of its arguments and holds results
-while their total size (an entry count, or bytes) stays within a fixed
-budget, dropping the least recently used first; a result larger than the
-whole budget is returned but not held. Held results are shared between
-callers, so the builds make their arrays read-only.
+while their total size in bytes stays within a fixed budget, dropping the
+least recently used first; a result larger than the whole budget is returned
+but not held. Held results are shared between callers, so the builds make
+their arrays read-only.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ def read_only(array):
     return array
 
 
-def lru_memo(key, budget, size=lambda value: 1):
-    """Decorator: memoize build(*args, **kwargs) under key(*args, **kwargs).
+def lru_memo(key, budget, size):
+    """Decorator: memoize build(*args, **kwargs) under key(*args, **kwargs),
+    holding results of total size(result) bytes up to budget.
 
-    The wrapper gains cache_clear() and held_size(), the total size of the
+    The wrapper gains cache_clear() and held_size(), the total bytes of the
     results it holds.
     """
     def decorate(build):

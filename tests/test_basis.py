@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from intop.basis import (ExtrapolationWarning, IntervalMap, WeightFamily,
-                         barycentric_weights, build_basis, interpolate,
+from intop.basis import (_BASIS_MEMO_BYTES, ExtrapolationWarning, IntervalMap,
+                         WeightFamily, barycentric_weights, build_basis, interpolate,
                          lagrange_cardinal, legendre_coefficients)
 from intop.oracle import QuadratureRequest, adaptive_integrate
 
@@ -150,9 +150,37 @@ def test_repeated_build_returns_the_memoized_read_only_rule():
     assert build_basis(WeightFamily.legendre(), 7) is bas
     assert build_basis(WeightFamily.legendre(), n=7) is bas
     assert build_basis(WeightFamily.legendre(), 8) is not bas
-    for arr in (bas.nodes, bas.gauss_weights):
+    for arr in (bas.nodes, bas.gauss_weights, bas.table):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_basis_memo_holds_at_most_its_byte_budget():
+    memo, budget = build_basis, _BASIS_MEMO_BYTES
+    # a rule costs 8 n^2 + 16 n = 8 (n + 1)^2 - 8 bytes (table, nodes,
+    # weights): n_fit is the largest that fits
+    n_fit = math.isqrt((budget + 8) // 8) - 1
+    rules = []
+    for n in range(n_fit // 18, n_fit, n_fit // 18):  # about 5 budgets in all
+        rules.append(memo(WeightFamily.legendre(), n))
+        assert memo.held_size() <= budget
+    assert memo.held_size() > budget // 2
+    # the least recently used rule went first, the latest is still held
+    assert memo(WeightFamily.legendre(), rules[-1].n) is rules[-1]
+    assert memo(WeightFamily.legendre(), rules[0].n) is not rules[0]
+    memo.cache_clear()
+    assert memo.held_size() == 0
+    # the largest rule that fits is held, one more is not
+    fits = memo(WeightFamily.legendre(), n_fit)
+    assert memo.held_size() == 8 * n_fit ** 2 + 16 * n_fit
+    assert memo(WeightFamily.legendre(), n_fit) is fits
+    big = memo(WeightFamily.legendre(), n_fit + 1)
+    assert memo(WeightFamily.legendre(), n_fit + 1) is not big
+    assert memo.held_size() <= budget
+    # verify_suite's Legendre n = 1..40 scan, asked for on every call, is held
+    memo.cache_clear()
+    scan = [memo(WeightFamily.legendre(), n) for n in range(1, 41)]
+    assert all(memo(WeightFamily.legendre(), bas.n) is bas for bas in scan)
 
 
 def test_basis_memo_tells_signed_zero_exponents_apart():

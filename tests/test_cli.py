@@ -107,12 +107,31 @@ def test_usage_errors_exit_one(capsys):
     ["ode", "--b", "1e300"],
     ["wiener-hopf", "--b", "30"],
     ["wiener-hopf", "--b", "1e300"],
+    # the drive e^(-beta t) and the exact e^(-t) overflow
+    ["control", "--beta=-400", "--alpha", "1e-300"],
+    ["control", "--beta=-400", "--alpha", "1e-8"],
+    ["control", "--beta=-400", "--alpha", "50"],
+    ["control", "--alpha", "1e300", "--beta=-400"],
+    ["control", "--a=-1e300", "--b=-1e299"],
+    ["ft-invert", "--a=-1e300", "--b=-1e299"],
 ])
 def test_numerical_failure_exits_two(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "never.csv")])
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("spaced, code", [
+    (["ode", "--a", "-1e300", "--b", "0"], 2),
+    (["ode", "--a", "-1e-5", "--b", "0"], 0),
+])
+def test_negative_value_in_exponent_notation_is_a_value(capsys, spaced, code):
+    # argparse's own pattern reads -1e300 as a flag ("expected one argument")
+    assert main(spaced) == code
+    first = capsys.readouterr()
+    assert main([spaced[0], "=".join(spaced[1:3]), *spaced[3:]]) == code
+    assert capsys.readouterr() == first
 
 
 @pytest.mark.parametrize("family, n", [("chebyshev1", 60),
@@ -145,6 +164,7 @@ def test_node_failure_exits_two(tmp_path, monkeypatch, capsys):
     (["ft-invert", "--b", "inf"], "(0, inf)"),
     (["eigs", "--b", "inf"], "(-1, inf)"),
     (["ft-invert", "--a=-1e308", "--b=1e308"], "(-1e+308, 1e+308)"),
+    (["ft-invert", "--a", "-inf"], "(-inf, 4)"),
     (["ode", "--b", "inf"], "(0, inf)"),
     (["matrices", "--family", "jacobi:inf,0"], "got inf,0"),
     (["matrices", "--family", "gegenbauer:inf"], "got inf"),

@@ -7,8 +7,12 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc
 
+import intop.basis
+import intop.intmat
 from intop.basis import (IntervalMap, QuadratureBasis, WeightFamily, build_basis,
-                         lagrange_cardinal, recurrence_coefficients)
+                         lagrange_cardinal, legendre_coefficients, orthonormal_table,
+                         recurrence_coefficients)
+from intop.cli import main
 from intop.errors import IllConditionedError, PoleEvaluationError
 from intop.intmat import (_COND_LIMIT, _EIGEN_MEMO_BYTES, _MATRIX_MEMO_BYTES,
                           ScalarSymbol, ScaledMatrix, _eigen_data, _incomplete_beta,
@@ -68,6 +72,50 @@ def test_single_node_entries():
     cheb = build_integration_matrices(
         build_basis(WeightFamily.chebyshev_first(), 1))
     np.testing.assert_allclose(cheb.plus, [[math.pi / 2.0]], atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
+def test_legendre_matrices_match_the_w_transformation(n):
+    # W-transformation of the Gauss Runge-Kutta methods (Hairer & Wanner,
+    # Solving ODEs II, IV.5), rescaled to (-1, 1): with Q[k, m] =
+    # sqrt(w_k) phi_m(x_k) and D = diag(sqrt(w)),
+    # A+- = D^-1 Q (e0 e0^T +- S) Q^T D, S[k, k-1] = -S[k-1, k] = 1/sqrt(4k^2 - 1),
+    # since int P_m = (P_{m+1} - P_{m-1})/(2m+1) and P_n vanishes at the
+    # nodes. No incomplete beta function enters this reference.
+    eps = np.finfo(float).eps
+    bas = build_basis(WeightFamily.legendre(), n)
+    mats = build_integration_matrices(bas)
+    root_w = np.sqrt(bas.gauss_weights)
+    Q = (bas.table * root_w).T
+    assert np.abs(Q.T @ Q - np.eye(n)).max() <= n * eps
+    k = np.arange(1.0, n)
+    xi = 1.0 / np.sqrt(4.0 * k * k - 1.0)
+    S = np.diag(xi, -1) - np.diag(xi, 1)
+    E = np.zeros((n, n))
+    E[0, 0] = 1.0
+    for sign, mat in ((1.0, mats.plus), (-1.0, mats.minus)):
+        w_form = Q @ (E + sign * S) @ Q.T * (root_w[None, :] / root_w[:, None])
+        assert np.abs(w_form - mat).max() <= 4.0 * eps
+
+
+def test_a_matrix_request_evaluates_three_orthonormal_tables(monkeypatch, capsys):
+    # build_basis evaluates two (the Newton polish and the Christoffel
+    # weights), the matrix build only the shifted family's; the basis
+    # holds the table that the build and legendre_coefficients read
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return orthonormal_table(*args)
+
+    monkeypatch.setattr(intop.basis, "orthonormal_table", counted)
+    monkeypatch.setattr(intop.intmat, "orthonormal_table", counted)
+    assert main(["matrices", "--n", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+    bas = build_basis(WeightFamily.legendre(), 6)
+    legendre_coefficients(bas, np.ones(6))
+    assert len(calls) == 3
 
 
 def test_entries_match_quadrature_oracle():
@@ -282,7 +330,7 @@ def test_repeated_build_returns_the_memoized_read_only_pair():
     assert build_integration_matrices(bas) is mats
     # equal content built by hand hits the memo too
     again = QuadratureBasis(bas.family, bas.n, bas.nodes.copy(),
-                            bas.gauss_weights.copy())
+                            bas.gauss_weights.copy(), bas.table.copy())
     assert build_integration_matrices(again) is mats
     for arr in (mats.plus, mats.minus):
         with pytest.raises(ValueError):
@@ -294,7 +342,8 @@ def test_hand_built_basis_one_ulp_apart_gets_its_own_pair():
     mats = build_integration_matrices(bas)
     nodes = bas.nodes.copy()
     nodes[2] = np.nextafter(nodes[2], 1.0)
-    moved = QuadratureBasis(bas.family, bas.n, nodes, bas.gauss_weights.copy())
+    moved = QuadratureBasis(bas.family, bas.n, nodes, bas.gauss_weights.copy(),
+                            bas.table.copy())
     other = build_integration_matrices(moved)
     assert other is not mats
     assert not np.array_equal(other.plus, mats.plus)

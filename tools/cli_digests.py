@@ -47,7 +47,8 @@ def grid() -> list[list[str]]:
     n = 16) and once on a non-default interval; control with non-default
     alpha and beta, and with alpha = 0 at n = 5 and 16; ode at n = 40; a
     NaN drive rate and intervals too long for the ode and wiener-hopf demos;
-    the scan and the suite; both formats throughout; and the suite as the
+    drives and exact solutions that overflow; negative values in exponent
+    notation given after a space; the scan and the suite; both formats throughout; and the suite as the
     verify benchmark calls it, with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
@@ -66,6 +67,15 @@ def grid() -> list[list[str]]:
     # refused inputs: a NaN rate (exit 1) and overflowing intervals (exit 2)
     requests += [["control", "--beta", "nan"], ["ode", "--b", "1e300"],
                  ["wiener-hopf", "--b", "30"]]
+    # finite inputs whose drive e^(-beta t) or exact e^(-t) overflows (exit 2)
+    requests += [["control", "--beta=-400", "--alpha", alpha]
+                 for alpha in ("1e-300", "1e-8", "50")]
+    requests += [["control", "--alpha", "1e300", "--beta=-400"],
+                 ["control", "--a=-1e300", "--b=-1e299"],
+                 ["ft-invert", "--a=-1e300", "--b=-1e299"]]
+    # negative values in exponent notation after a space: exit 2, 0 and 1
+    requests += [["ode", "--a", "-1e300", "--b", "0"],
+                 ["ode", "--a", "-1e-5", "--b", "0"], ["ft-invert", "--a", "-inf"]]
     requests += [["conjecture", "--n-max", "30", "--format", fmt]
                  for fmt in ("json", "csv")]
     requests += [["verify", "--samples", "6", "--format", fmt]
