@@ -53,7 +53,7 @@ class ControlSpec:
             raise ValueError(
                 f"alpha and beta must be finite, got {self.alpha:g},{self.beta:g}")
         if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"alpha must be positive, got {self.alpha:g}")
 
 
 def damped_bessel_symbol(alpha: float) -> ScalarSymbol:
@@ -112,9 +112,9 @@ def _gap(eig: EigenFactorization, phi, g: np.ndarray, response: np.ndarray) -> f
 def _control_solution(alpha: float, beta: float, imap: IntervalMap, n: int):
     """Order-n basis, factorization, g = e^{-beta xi}, kernel rule phi and
     response, its imaginary residue and its gap to the closed form lam/d."""
+    ControlSpec(alpha, beta)
     bas = build_basis(WeightFamily.legendre(), n)
     eig = eigen_factorize(scale(build_integration_matrices(bas), "-", imap))
-    ControlSpec(alpha, beta)  # validated after the factorization
     g = _drive(beta, eig.scaled.xi)
     phi = symbol_on_spectrum(eig, damped_bessel_symbol(alpha), "fourier")
     response, residue = apply_real(eig, phi, g)

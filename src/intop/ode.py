@@ -11,6 +11,7 @@ restart is seeded from its value at the segment end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,11 +145,11 @@ def restart_extend(problem: OdeProblem, scaled: ScaledMatrix, segments: int,
 
 def tangent_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                  b: float = 0.5) -> SolveReport:
-    """y' = 1 + y^2, y(0) = 0: recover tan on (0, b)."""
+    """y' = 1 + y^2, y(a) = tan(a): recover tan on (a, b)."""
     imap = IntervalMap(a, b)
     bas = build_basis(WeightFamily.legendre(), n)
     scaled = scale(build_integration_matrices(bas), "+", imap)
-    problem = OdeProblem(lambda x, y: 1.0 + y * y, 0.0)
+    problem = OdeProblem(lambda x, y: 1.0 + y * y, math.tan(a))
     res = picard_solve(problem, scaled)
     fine = np.linspace(a, b, fine_points)
     meta = {"ode": "y' = 1 + y^2", "exact_kind": "closed_form",

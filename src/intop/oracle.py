@@ -2,14 +2,15 @@
 
 Nothing in here touches the integration matrices. Quadrature is one adaptive
 bisection with Gauss rules over a list of breakpoints, in the manner of
-QUADPACK's qagp: adaptive_integrate gives a definite integral, and
-running_integral gives int_a^x f at many x from a single bisection. The
-integrand is called once per Gauss rule on the abscissae of every seed panel
-(one per gap between breakpoints) together. After that, adaptive_integrate
-gives each bisection child calls of its own, while running_integral, whose
-integrand must be pointwise, evaluates the next three bisection levels below
-a panel in one call per rule. The Bessel evaluation is series/asymptotic,
-and convolutions are integrated pointwise.
+QUADPACK's qagp: adaptive_integrate(f, a, b, tol) gives a definite
+integral, and running_integral(f, a, points, tol) gives int_a^x f at many x
+from a single bisection; both tag an (x - a)^g endpoint singularity with
+left_exponent=g. The integrand is called once per Gauss rule on the
+abscissae of every seed panel (one per gap between breakpoints) together.
+After that, adaptive_integrate gives each bisection child calls of its own,
+while running_integral, whose integrand must be pointwise, evaluates the
+next three bisection levels below a panel in one call per rule. The Bessel
+evaluation is series/asymptotic, and convolutions are integrated pointwise.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .errors import OracleError
 
 __all__ = [
-    "QuadratureRequest",
     "adaptive_integrate",
     "bessel_j0",
     "direct_convolution",
@@ -47,30 +45,6 @@ _LOOKAHEAD = 3
 _MAX_INTERVALS = 200_000
 # Roundoff floor as a multiple of eps * integral of |f| (QUADPACK's resabs).
 _ROUNDOFF = 50.0 * np.finfo(np.float64).eps
-
-
-@dataclass(frozen=True)
-class QuadratureRequest:
-    """One definite integral.
-
-    integrand must accept a 1-d ndarray of abscissae and return an ndarray
-    (real or complex) of the same shape. Each call holds the abscissae of
-    one panel, so the integrand may itself run a running_integral over them
-    (running_integral hands many panels to one call and needs a pointwise
-    integrand). tol is an absolute tolerance; the oracle meets it or the
-    roundoff floor, whichever is larger (see adaptive_integrate).
-    left_exponent / right_exponent tag integrable endpoint singularities:
-    exponent g > -1 means the integrand behaves like (x - a)^g (resp.
-    (b - x)^g) there, and the integral is transformed to remove the
-    singularity before bisection starts.
-    """
-
-    integrand: Callable[[np.ndarray], np.ndarray]
-    a: float
-    b: float
-    tol: float = 1e-12
-    left_exponent: float | None = None
-    right_exponent: float | None = None
 
 
 def _panels(f, lo, hi):
@@ -209,8 +183,19 @@ def _desingularized(f, a: float, b: float, exponent: float, left: bool):
     return g, 0.0, upper
 
 
-def adaptive_integrate(request: QuadratureRequest):
-    """Integrate a request to its absolute tolerance or the roundoff floor.
+def adaptive_integrate(f, a: float, b: float, tol: float,
+                       left_exponent: float | None = None,
+                       right_exponent: float | None = None):
+    """int_a^b f to the absolute tolerance tol or the roundoff floor.
+
+    f must accept a 1-d ndarray of abscissae and return an ndarray (real or
+    complex) of the same shape. Each call holds the abscissae of one panel,
+    so f may itself run a running_integral over them (running_integral
+    hands many panels to one call and needs a pointwise integrand).
+    left_exponent / right_exponent tag integrable endpoint singularities:
+    exponent g > -1 means f behaves like (x - a)^g (resp. (b - x)^g) there,
+    and the integral is transformed to remove the singularity before
+    bisection starts.
 
     Bisection stops once the error estimate is at or below
     max(tol, 50 * eps * integral of |f|); the second term is the roundoff
@@ -222,23 +207,22 @@ def adaptive_integrate(request: QuadratureRequest):
     bisection cannot reach the tolerance or the floor; the message gives the
     panels used, the value reached and the floor.
     """
-    if not request.b > request.a:
+    if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
-    if request.tol <= 0.0:
+    if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    f, a, b = request.integrand, request.a, request.b
-    if request.left_exponent is not None and request.right_exponent is not None:
+    if left_exponent is not None and right_exponent is not None:
         mid = 0.5 * (a + b)
-        g1, lo1, hi1 = _desingularized(f, a, mid, request.left_exponent, left=True)
-        g2, lo2, hi2 = _desingularized(f, mid, b, request.right_exponent, left=False)
-        (v1,), e1 = _adaptive(g1, (lo1, hi1), 0.5 * request.tol)
-        (v2,), e2 = _adaptive(g2, (lo2, hi2), 0.5 * request.tol)
+        g1, lo1, hi1 = _desingularized(f, a, mid, left_exponent, left=True)
+        g2, lo2, hi2 = _desingularized(f, mid, b, right_exponent, left=False)
+        (v1,), e1 = _adaptive(g1, (lo1, hi1), 0.5 * tol)
+        (v2,), e2 = _adaptive(g2, (lo2, hi2), 0.5 * tol)
         return v1 + v2, e1 + e2
-    if request.left_exponent is not None:
-        f, a, b = _desingularized(f, a, b, request.left_exponent, left=True)
-    elif request.right_exponent is not None:
-        f, a, b = _desingularized(f, a, b, request.right_exponent, left=False)
-    (value,), err = _adaptive(f, (a, b), request.tol)
+    if left_exponent is not None:
+        f, a, b = _desingularized(f, a, b, left_exponent, left=True)
+    elif right_exponent is not None:
+        f, a, b = _desingularized(f, a, b, right_exponent, left=False)
+    (value,), err = _adaptive(f, (a, b), tol)
     return value, err
 
 
@@ -250,7 +234,7 @@ def running_integral(f, a: float, points, tol: float,
     the values are cumulative sums of the gap values (0 for x <= a). The
     stopping rule bounds the error estimate summed over all gaps, so every
     value meets tol or the roundoff floor. left_exponent tags an (x - a)^g
-    singularity as in QuadratureRequest; it is substituted away once for the
+    singularity as in adaptive_integrate; it is substituted away once for the
     whole range, and f is never evaluated beyond the largest point. a and
     every point must be finite (ValueError otherwise).
 
@@ -350,7 +334,7 @@ def direct_convolution(kernel, g, side, imap, points, tol: float = 1e-10):
         if hi <= lo:
             out[i] = 0.0
             continue
-        val, _ = adaptive_integrate(QuadratureRequest(f, lo, hi, tol))
+        val, _ = adaptive_integrate(f, lo, hi, tol)
         out[i] = val
     return out
 

@@ -19,8 +19,8 @@ from intop.intmat import (ScaledMatrix, build_integration_matrices,
 from intop.invert import (ScalarSymbol, fourier_demo, laplace_demo,
                           laplace_invert)
 from intop.ode import OdeProblem, picard_solve, tangent_demo
-from intop.oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
-                          direct_convolution, load_fixtures)
+from intop.oracle import (adaptive_integrate, bessel_j0, direct_convolution,
+                          load_fixtures)
 from intop.verify import conjecture_scan, verify_suite
 from intop.wiener_hopf import exp_kernel_demo
 from intop.cli import main as cli_main
@@ -179,8 +179,8 @@ def test_criterion_08_wiener_hopf_demo():
 
         worst = 0.0
         for x in np.linspace(0.1, 0.9, 5):
-            conv, _ = adaptive_integrate(QuadratureRequest(
-                lambda t: -np.exp(-(x - t)) * exact(t), 0.0, 1.0, tol=1e-13))
+            conv, _ = adaptive_integrate(
+                lambda t: -np.exp(-(x - t)) * exact(t), 0.0, 1.0, tol=1e-13)
             worst = max(worst, abs(exact(x) - conv - demand(x)))
         print(f"  continuous-equation residual of exact solution "
               f"{worst:.3e} (tol 1e-10)")

@@ -8,7 +8,7 @@ from scipy.special import roots_jacobi
 from intop.basis import (_BASIS_MEMO_BYTES, ExtrapolationWarning, IntervalMap,
                          WeightFamily, barycentric_weights, build_basis, interpolate,
                          lagrange_cardinal, legendre_coefficients)
-from intop.oracle import QuadratureRequest, adaptive_integrate
+from intop.oracle import adaptive_integrate
 
 
 def test_legendre_nodes_match_numpy():
@@ -48,10 +48,10 @@ def test_quadrature_exactness(family):
     coeffs = np.linspace(0.5, -0.3, 2 * n)  # degree 2n-1
     poly = np.polynomial.polynomial.Polynomial(coeffs)
     rule = float(bas.gauss_weights @ poly(bas.nodes))
-    exact, _ = adaptive_integrate(QuadratureRequest(
+    exact, _ = adaptive_integrate(
         lambda x: poly(x) * family.weight(x), -1.0, 1.0, tol=1e-13,
         left_exponent=family.beta if family.beta else None,
-        right_exponent=family.alpha if family.alpha else None))
+        right_exponent=family.alpha if family.alpha else None)
     assert rule == pytest.approx(exact, abs=5e-12)
 
 

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import intop.verify
 from intop.cli import main
 
 
@@ -172,6 +174,9 @@ def test_node_failure_exits_two(tmp_path, monkeypatch, capsys):
     (["control", "--alpha", "nan"], "got nan,0.7"),
     (["control", "--alpha", "inf"], "got inf,0.7"),
     (["ft-invert", "--a", "-inf"], "(-inf, 4)"),
+    # a finite bad value too; the eigen route would refuse n = 16 (exit 2),
+    # but alpha is checked before any numerics
+    (["control", "--n", "16", "--alpha", "0"], "alpha must be positive, got 0"),
 ])
 def test_non_finite_input_exits_one(tmp_path, capsys, argv, bad):
     with warnings.catch_warnings():
@@ -179,6 +184,20 @@ def test_non_finite_input_exits_one(tmp_path, capsys, argv, bad):
         code, _ = run(tmp_path, *argv)
     assert code == 1
     assert bad in capsys.readouterr().err
+
+
+def test_norm_bound_violation_is_a_failed_verdict(tmp_path, monkeypatch):
+    # an antiderivative ten times too large breaks the bound; the suite
+    # reports it (exit 2) instead of raising out of main
+    poly = types.SimpleNamespace(**vars(np.polynomial.polynomial))
+    poly.polyint = lambda c: 10.0 * np.polynomial.polynomial.polyint(c)
+    monkeypatch.setattr(intop.verify, "P", poly)
+    code, text = run(tmp_path, "verify", "--samples", "6")
+    suite = json.loads(text)
+    assert code == 2
+    assert suite["norm_bound"]["passed"] is False
+    assert suite["norm_bound"]["max_ratio"] > suite["norm_bound"]["bound"]
+    assert suite["all_passed"] is False
 
 
 def test_weight_mass_overflow_exits_two(tmp_path, capsys):

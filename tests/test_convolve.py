@@ -6,8 +6,8 @@ from intop.convolve import (ControlSpec, control_demo, control_inverse,
                             control_response, convolve, damped_bessel_symbol)
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
                           eigen_factorize, scale)
-from intop.oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
-                          direct_convolution, load_fixtures)
+from intop.oracle import (adaptive_integrate, bessel_j0, direct_convolution,
+                          load_fixtures)
 
 THRESH = load_fixtures()["thresholds"]
 
@@ -56,9 +56,9 @@ def test_right_running_matches_quadrature():
 def test_symbol_matches_defining_integral():
     sym = damped_bessel_symbol(1.0)
     for y in (0.0, 0.7, -1.3):
-        ref, _ = adaptive_integrate(QuadratureRequest(
+        ref, _ = adaptive_integrate(
             lambda t: np.exp(-1j * y * t) * np.exp(-t) * bessel_j0(t),
-            0.0, 60.0, tol=1e-13))
+            0.0, 60.0, tol=1e-13)
         assert abs(sym(y) - ref) < 1e-12, y
 
 

@@ -18,7 +18,7 @@ from intop.intmat import (_COND_LIMIT, _EIGEN_MEMO_BYTES, _MATRIX_MEMO_BYTES,
                           ScalarSymbol, ScaledMatrix, _eigen_data, _incomplete_beta,
                           apply_real, build_integration_matrices, eigen_factorize,
                           matrix_function, scale, symbol_on_spectrum)
-from intop.oracle import QuadratureRequest, adaptive_integrate
+from intop.oracle import adaptive_integrate
 
 
 FAMILIES = [
@@ -124,10 +124,10 @@ def test_entries_match_quadrature_oracle():
     mats = build_integration_matrices(bas)
     for j in range(4):
         for k in range(4):
-            val, _ = adaptive_integrate(QuadratureRequest(
+            val, _ = adaptive_integrate(
                 lambda x: lagrange_cardinal(bas, k, x) * family.weight(x),
                 -1.0, float(bas.nodes[j]), tol=1e-10,
-                left_exponent=family.beta))
+                left_exponent=family.beta)
             # endpoint singularity at -1 limits the oracle itself to ~1e-9
             assert mats.plus[j, k] == pytest.approx(val, abs=5e-9), (j, k)
 

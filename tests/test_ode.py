@@ -53,6 +53,13 @@ def test_tangent_demo_accuracy():
     assert rep.max_coarse_error < THRESH["ode_n5_max_node_error"]
 
 
+def test_tangent_demo_starts_from_tan_a():
+    # y(a) = tan(a), so the exact column tan(t) is the solution on (a, b)
+    rep = tangent_demo(n=20, a=0.25, b=0.75)
+    assert rep.max_coarse_error <= 1e-13
+    assert rep.metadata["hermite_max_fine_error"] <= 1e-13
+
+
 @pytest.mark.parametrize("n, b", [
     pytest.param(5, 1e-300, id="1e-300"),
     pytest.param(5, 1e-150, id="1e-150"),

@@ -11,46 +11,45 @@ from numpy.polynomial import polynomial as P
 from intop import oracle
 from intop.basis import IntervalMap
 from intop.errors import OracleError
-from intop.oracle import (QuadratureRequest, adaptive_integrate, bessel_j0,
-                          direct_convolution, load_fixtures, running_integral)
-
-
-def quad(f, a, b, **kw):
-    value, _ = adaptive_integrate(QuadratureRequest(f, a, b, **kw))
-    return value
+from intop.oracle import (adaptive_integrate, bessel_j0, direct_convolution,
+                          load_fixtures, running_integral)
 
 
 def test_polynomial_and_trig_integrals():
-    assert quad(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert quad(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-13)
-    assert quad(lambda x: np.exp(-x), 0.0, 50.0) == pytest.approx(1.0, abs=1e-12)
+    value, _ = adaptive_integrate(lambda x: x * x, 0.0, 1.0, 1e-12)
+    assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
+    value, _ = adaptive_integrate(np.sin, 0.0, math.pi, 1e-12)
+    assert value == pytest.approx(2.0, abs=1e-13)
+    value, _ = adaptive_integrate(lambda x: np.exp(-x), 0.0, 50.0, 1e-12)
+    assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_complex_integrand():
-    val = quad(lambda x: np.exp(1j * x), 0.0, 2.0 * math.pi, tol=1e-13)
+    val, _ = adaptive_integrate(lambda x: np.exp(1j * x), 0.0, 2.0 * math.pi, tol=1e-13)
     assert abs(val) < 1e-12
 
 
 def test_error_estimate_is_conservative():
-    value, err = adaptive_integrate(
-        QuadratureRequest(lambda x: np.cos(7.0 * x), 0.0, 3.0, tol=1e-10))
+    value, err = adaptive_integrate(lambda x: np.cos(7.0 * x), 0.0, 3.0, tol=1e-10)
     assert abs(value - math.sin(21.0) / 7.0) <= max(err, 1e-13)
 
 
 def test_endpoint_singularities():
-    assert quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                left_exponent=-0.5) == pytest.approx(2.0, abs=1e-11)
+    value, _ = adaptive_integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-12,
+                                  left_exponent=-0.5)
+    assert value == pytest.approx(2.0, abs=1e-11)
     # both-end arcsine weight integrates to pi
-    assert quad(lambda x: ((1.0 - x) * (1.0 + x)) ** -0.5, -1.0, 1.0,
-                left_exponent=-0.5, right_exponent=-0.5) == pytest.approx(
-        math.pi, abs=1e-10)
+    value, _ = adaptive_integrate(lambda x: ((1.0 - x) * (1.0 + x)) ** -0.5,
+                                  -1.0, 1.0, 1e-12, left_exponent=-0.5,
+                                  right_exponent=-0.5)
+    assert value == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_invalid_requests():
     with pytest.raises(ValueError):
-        adaptive_integrate(QuadratureRequest(np.sin, 1.0, 0.0))
+        adaptive_integrate(np.sin, 1.0, 0.0, 1e-12)
     with pytest.raises(ValueError):
-        adaptive_integrate(QuadratureRequest(np.sin, 0.0, 1.0, tol=0.0))
+        adaptive_integrate(np.sin, 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         running_integral(np.sin, 0.0, [1.0], 0.0)
     # a non-finite point or start has no integral to report
@@ -62,13 +61,13 @@ def test_invalid_requests():
 
 def test_nonintegrable_singularity_raises():
     with pytest.raises(OracleError):
-        adaptive_integrate(QuadratureRequest(lambda x: 1.0 / x, 0.0, 1.0))
+        adaptive_integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-12)
 
 
 def test_oracle_error_reports_panels_value_and_floor():
     with pytest.raises(OracleError, match=r"after \d+ panels \(value .+, "
                        r"error estimate .+, tol .+, roundoff floor .+\)"):
-        adaptive_integrate(QuadratureRequest(lambda x: 1.0 / x, 0.0, 1.0))
+        adaptive_integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-12)
 
 
 def test_roundoff_floor_stops_exact_polynomial_square():
@@ -79,8 +78,8 @@ def test_roundoff_floor_stops_exact_polynomial_square():
     anti = P.polyint(P.polymul(c, c))
     exact = P.polyval(2.0, anti) - P.polyval(0.0, anti)
     assert 1e4 < exact < 3e4
-    value, err = adaptive_integrate(QuadratureRequest(
-        lambda x: P.polyval(x, c) ** 2, 0.0, 2.0, tol=1e-13))
+    value, err = adaptive_integrate(
+        lambda x: P.polyval(x, c) ** 2, 0.0, 2.0, tol=1e-13)
     assert value == pytest.approx(exact, rel=1e-13, abs=0)
     assert err <= 1e-12 * exact
 
@@ -89,8 +88,8 @@ def test_bessel_j0_against_defining_integral():
     # (1/pi) int_0^pi cos(x sin(theta)) dtheta, checked across the
     # series/asymptotic switchover
     for x in (0.0, 0.3, 2.0, 7.5, 14.9, 15.1, 30.0, 47.2):
-        ref = quad(lambda th: np.cos(x * np.sin(th)), 0.0, math.pi,
-                   tol=1e-14) / math.pi
+        ref = adaptive_integrate(lambda th: np.cos(x * np.sin(th)), 0.0, math.pi,
+                                 tol=1e-14)[0] / math.pi
         assert bessel_j0(x) == pytest.approx(ref, abs=5e-13), x
 
 
@@ -165,7 +164,8 @@ def test_running_integral_matches_pointwise_quadrature(c, k, exponent, pts):
     tol = 1e-11
     got = running_integral(f, 0.0, pts, tol, left_exponent=exponent)
     for x, value in zip(pts, got):
-        ref = quad(f, 0.0, x, tol=tol, left_exponent=exponent) if x > 0.0 else 0.0
+        ref = (adaptive_integrate(f, 0.0, x, tol, left_exponent=exponent)[0]
+               if x > 0.0 else 0.0)
         assert abs(value - ref) <= tol, x
 
 
@@ -260,12 +260,11 @@ def test_batched_seeding_matches_per_gap_seeding_bit_for_bit(
     # points at and below a, and repeated points, among the draws
     pts = [a + t for t in offsets] + [a + t for t in offsets[:dups]] + [a]
     tol = 1e-10
-    request = QuadratureRequest(f_both, a, b, tol, left, right)
     got_run = running_integral(f, a, pts, tol, left_exponent=left)
-    got_def = adaptive_integrate(request)
+    got_def = adaptive_integrate(f_both, a, b, tol, left, right)
     with mock.patch.object(oracle, "_adaptive", _reference_adaptive):
         ref_run = running_integral(f, a, pts, tol, left_exponent=left)
-        ref_def = adaptive_integrate(request)
+        ref_def = adaptive_integrate(f_both, a, b, tol, left, right)
     assert np.array_equal(got_run, ref_run)
     assert np.array_equal(got_def, ref_def)
 
@@ -353,7 +352,7 @@ def test_adaptive_integrate_hands_its_integrand_one_panel_per_call():
         calls.append(len(x))
         return np.abs(x - 1.0 / 3.0)
 
-    value = quad(f, 0.0, 1.0, tol=1e-11)
+    value, _ = adaptive_integrate(f, 0.0, 1.0, tol=1e-11)
     assert abs(value - 5.0 / 18.0) <= 1e-11
     # the integrand of verify's outer rules runs a running_integral over its
     # abscissae, which would round differently with more panels in a call

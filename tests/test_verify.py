@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,13 @@ def test_integral_chain_flat_example():
     assert rep.lhs == pytest.approx(2.0, abs=1e-8)
     assert rep.mid == pytest.approx(4.0, abs=1e-8)
     assert rep.rhs == pytest.approx(8.0, abs=1e-8)
+
+
+def test_integral_chain_reads_no_weight_as_legendre():
+    f = lambda x: np.cos(3.0 * x) + 0.5
+    flat = check_integral_chain(f, None, (0.0, 2.0))
+    legendre = check_integral_chain(f, WeightFamily.legendre(), (0.0, 2.0))
+    assert dataclasses.astuple(flat) == dataclasses.astuple(legendre)
 
 
 def test_integral_chain_with_weight_object():

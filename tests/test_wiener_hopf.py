@@ -7,7 +7,7 @@ import pytest
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
                           eigen_factorize, scale)
-from intop.oracle import QuadratureRequest, adaptive_integrate, load_fixtures
+from intop.oracle import adaptive_integrate, load_fixtures
 from intop.wiener_hopf import (WienerHopfProblem, _expm1_over, exp_kernel_demo,
                                solve, truncated_exp_kernel_symbols)
 
@@ -37,11 +37,11 @@ def test_symbols_match_their_defining_integrals():
     assert plus.region in ("upper", "entire")
     assert minus.region in ("lower", "entire")
     for y in (0.0, 0.7, -1.3, 2.3):
-        ref_p, _ = adaptive_integrate(QuadratureRequest(
-            lambda t: -np.exp(1j * y * t) * np.exp(-t), 0.0, 60.0, tol=1e-13))
+        ref_p, _ = adaptive_integrate(
+            lambda t: -np.exp(1j * y * t) * np.exp(-t), 0.0, 60.0, tol=1e-13)
         assert abs(plus(y) - ref_p) < 1e-12, y
-        ref_m, _ = adaptive_integrate(QuadratureRequest(
-            lambda t: -np.exp(1j * y * t) * np.exp(-t), -2.0, 0.0, tol=1e-13))
+        ref_m, _ = adaptive_integrate(
+            lambda t: -np.exp(1j * y * t) * np.exp(-t), -2.0, 0.0, tol=1e-13)
         assert abs(minus(y) - ref_m) < 1e-11, y
 
 
@@ -77,9 +77,9 @@ def test_diagonal_values_have_closed_forms():
 def test_exact_solution_satisfies_continuous_equation():
     # residual of f(x) - int_0^1 k(x-t) f(t) dt - g(x) with k(s) = -e^{-s}
     for x in np.linspace(0.05, 0.95, 9):
-        conv, _ = adaptive_integrate(QuadratureRequest(
+        conv, _ = adaptive_integrate(
             lambda t: -np.exp(-(x - t)) * exact_solution(t), 0.0, 1.0,
-            tol=1e-13))
+            tol=1e-13)
         residual = exact_solution(x) - conv - demand(x)
         assert abs(residual) < 1e-10, x
 

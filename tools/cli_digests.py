@@ -45,11 +45,13 @@ def grid() -> list[list[str]]:
     first move bits);
     eigs and the five demos at n = 1, 5, 11, 15, 16 (the eigen route refuses
     n = 16) and once on a non-default interval; control with non-default
-    alpha and beta, and with alpha = 0 at n = 5 and 16; ode at n = 40; a
-    NaN drive rate and intervals too long for the ode and wiener-hopf demos;
-    drives and exact solutions that overflow; negative values in exponent
-    notation given after a space; the scan and the suite; both formats throughout; and the suite as the
-    verify benchmark calls it, with 100 samples."""
+    alpha and beta, and with alpha = 0 at n = 5 and 16 (refused before
+    any numerics, so exit 1 even where the factorization fails); ode at
+    n = 40; a NaN drive rate and intervals too long for the ode and
+    wiener-hopf demos; drives and exact solutions that overflow; negative
+    values in exponent notation given after a space; the scan and the suite;
+    both formats throughout; and the suite as the verify benchmark calls it,
+    with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
     requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
@@ -59,8 +61,8 @@ def grid() -> list[list[str]]:
     requests += [[cmd, "--a", a, "--b", b, *f]
                  for cmd, (a, b) in INTERVALS.items() for f in fmts]
     requests += [["control", "--alpha", "0.5", "--beta", "1.2", *f] for f in fmts]
-    # alpha = 0 is refused after the factorization: exit 1 at n = 5, exit 2
-    # at n = 16 where the factorization is refused first
+    # alpha = 0 is refused before the factorization: exit 1 at n = 5 and at
+    # n = 16, where the factorization would be refused (exit 2)
     requests += [["control", "--n", n, "--alpha", "0"] for n in ("5", "16")]
     # ode at n = 40: Hermite refinement of degree 79 stays at rounding level
     requests += [["ode", "--n", "40", *f] for f in fmts]
