@@ -1,5 +1,10 @@
 """Command-line surface: demo artifacts, matrix export, scans, verification.
 
+The five demo subcommands come from one table, _DEMOS, which gives each its
+help line and default interval and passes the parsed flags to the demo as
+keywords. The conjecture scan and the verify suite are written as JSON
+only, so --format offers json alone there.
+
 Output is deterministic: fixed seeds and fixed orderings, written by the
 intop.report writers (CSV floats at 17 significant digits, JSON floats as
 their shortest round-trip repr), so a rerun with the same flags is
@@ -57,8 +62,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_interval_flags(p, n=5, a=0.0, b=1.0, fine=None):
-    p.add_argument("--n", type=int, default=n, help="collocation order")
+def _add_interval_flags(p, a, b, fine=None):
+    p.add_argument("--n", type=int, default=5, help="collocation order")
     p.add_argument("--a", type=float, default=a, help="interval left endpoint")
     p.add_argument("--b", type=float, default=b, help="interval right endpoint")
     if fine is not None:
@@ -66,9 +71,9 @@ def _add_interval_flags(p, n=5, a=0.0, b=1.0, fine=None):
                        help="equispaced evaluation mesh size")
 
 
-def _add_output_flags(p, default_format="csv"):
+def _add_output_flags(p, formats=("csv", "json")):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _validate(args) -> None:
@@ -78,6 +83,21 @@ def _validate(args) -> None:
         raise ValueError("--fine-points must be at least 2")
     if hasattr(args, "a") and not args.b > args.a:
         raise ValueError("--a must be below --b")
+
+
+# name -> (help, default b, builder). A builder takes the parsed flags as
+# keywords and looks its demo up by name at call time, so replacing the module
+# attribute (as perfbench/spans.py does) reroutes the call.
+_DEMOS = {
+    "ft-invert": ("oscillatory-transform inversion demo", 4.0,
+                  lambda **kw: fourier_demo(**kw)),
+    "lt-invert": ("decaying-transform inversion demo", 2.0,
+                  lambda **kw: laplace_demo(**kw)),
+    "control": ("damped-Bessel response demo", 3.0, lambda **kw: control_demo(**kw)),
+    "ode": ("Picard initial-value demo (tangent)", 0.5, lambda **kw: tangent_demo(**kw)),
+    "wiener-hopf": ("half-line integral-equation demo", 1.0,
+                    lambda **kw: exp_kernel_demo(**kw)),
+}
 
 
 @functools.cache
@@ -101,41 +121,27 @@ def build_parser() -> _Parser:
                                    "scaled to (a, b).")
     p.add_argument("--family", default="legendre",
                    help="legendre | chebyshev1 | gegenbauer:L | jacobi:A,B")
-    _add_interval_flags(p, n=5, a=-1.0, b=1.0)
+    _add_interval_flags(p, a=-1.0, b=1.0)
     _add_output_flags(p)
 
-    p = sub.add_parser("ft-invert", help="oscillatory-transform inversion demo")
-    _add_interval_flags(p, n=5, a=0.0, b=4.0, fine=100)
-    _add_output_flags(p)
-
-    p = sub.add_parser("lt-invert", help="decaying-transform inversion demo")
-    _add_interval_flags(p, n=5, a=0.0, b=2.0, fine=100)
-    _add_output_flags(p)
-
-    p = sub.add_parser("control", help="damped-Bessel response demo")
-    _add_interval_flags(p, n=5, a=0.0, b=3.0, fine=100)
-    p.add_argument("--alpha", type=float, default=1.0, help="kernel damping")
-    p.add_argument("--beta", type=float, default=0.7, help="drive decay rate")
-    _add_output_flags(p)
-
-    p = sub.add_parser("ode", help="Picard initial-value demo (tangent)")
-    _add_interval_flags(p, n=5, a=0.0, b=0.5, fine=100)
-    _add_output_flags(p)
-
-    p = sub.add_parser("wiener-hopf", help="half-line integral-equation demo")
-    _add_interval_flags(p, n=5, a=0.0, b=1.0, fine=100)
-    _add_output_flags(p)
+    for name, (help_, b, _) in _DEMOS.items():
+        p = sub.add_parser(name, help=help_)
+        _add_interval_flags(p, a=0.0, b=b, fine=100)
+        if name == "control":
+            p.add_argument("--alpha", type=float, default=1.0, help="kernel damping")
+            p.add_argument("--beta", type=float, default=0.7, help="drive decay rate")
+        _add_output_flags(p)
 
     p = sub.add_parser("conjecture", help="right-half-plane eigenvalue scan")
     p.add_argument("--family", default="legendre",
                    help="legendre | chebyshev1 | gegenbauer:L | jacobi:A,B")
     p.add_argument("--n-max", type=int, default=40)
-    _add_output_flags(p, default_format="json")
+    _add_output_flags(p, formats=("json",))
 
     p = sub.add_parser("verify", help="run the full identity/bound suite")
     p.add_argument("--samples", type=int, default=100,
                    help="randomized-suite size")
-    _add_output_flags(p, default_format="json")
+    _add_output_flags(p, formats=("json",))
     return parser
 
 
@@ -170,17 +176,6 @@ def _eigs_text(args) -> str:
                         [(None, [f"{i}," for i in range(len(re_im))], re_im)])
 
 
-_DEMOS = {
-    "ft-invert": lambda a: fourier_demo(n=a.n, fine_points=a.fine_points, a=a.a, b=a.b),
-    "lt-invert": lambda a: laplace_demo(n=a.n, fine_points=a.fine_points, a=a.a, b=a.b),
-    "control": lambda a: control_demo(n=a.n, fine_points=a.fine_points,
-                                      alpha=a.alpha, beta=a.beta, a=a.a, b=a.b),
-    "ode": lambda a: tangent_demo(n=a.n, fine_points=a.fine_points, a=a.a, b=a.b),
-    "wiener-hopf": lambda a: exp_kernel_demo(n=a.n, fine_points=a.fine_points,
-                                             a=a.a, b=a.b),
-}
-
-
 def main(argv=None) -> int:
     """Entry point returning 0 (done), 1 (usage) or 2 (numerical failure)."""
     parser = build_parser()
@@ -188,7 +183,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _validate(args)
         if args.command in _DEMOS:
-            report = _DEMOS[args.command](args)
+            report = _DEMOS[args.command][2](**{
+                k: v for k, v in vars(args).items()
+                if k not in ("command", "out", "format")})
             _emit(report.csv_text() if args.format == "csv" else report.json_text(),
                   args.out)
         elif args.command == "matrices":
@@ -196,15 +193,11 @@ def main(argv=None) -> int:
         elif args.command == "eigs":
             _emit(_eigs_text(args), args.out)
         elif args.command == "conjecture":
-            if args.format == "csv":
-                raise ValueError("conjecture reports are json only")
             if args.n_max < 1:
                 raise ValueError("--n-max must be at least 1")
             _emit(conjecture_scan(WeightFamily.parse(args.family),
                                   args.n_max).json_text(), args.out)
         else:  # verify
-            if args.format == "csv":
-                raise ValueError("verify reports are json only")
             suite = verify_suite(samples=args.samples)
             _emit(json_document(suite), args.out)
             if not suite["all_passed"]:

@@ -9,12 +9,14 @@ measured. Applied to node values they reproduce the one-sided indefinite
 integrals of the interpolant, and rescaled to an interval (a, b) they act
 as the discrete indefinite-integration operators there; analytic functions
 of those operators are evaluated through the eigendecomposition, applied to
-a vector by apply_real or assembled densely by matrix_function.
+a vector by apply_real or assembled densely by matrix_function. The
+spectrum is available at any n; the two applies refuse an eigenvector basis
+whose condition number exceeds _COND_LIMIT.
 
 Two bounded memos serve repeated requests: the matrix pair of each basis,
 and the spectral data (eigenvalues, eigenvectors, their condition number and
 inverse) of each scaled matrix, keyed on the exact content of C. A matrix
-whose eigenvector basis eigen_factorize refuses is held without an inverse.
+whose eigenvector basis the applies refuse is held without an inverse.
 """
 
 from __future__ import annotations
@@ -102,12 +104,13 @@ class ScaledMatrix:
 
 @dataclass(frozen=True)
 class EigenFactorization:
-    """Spectral data of a scaled matrix, deterministically normalized."""
+    """Spectral data of a scaled matrix, deterministically normalized;
+    inverse is None when cond exceeds _COND_LIMIT."""
 
     scaled: ScaledMatrix
     values: np.ndarray
     vectors: np.ndarray
-    inverse: np.ndarray
+    inverse: np.ndarray | None
     cond: float
 
 
@@ -236,14 +239,11 @@ def eigen_factorize(scaled: ScaledMatrix) -> EigenFactorization:
 
     Eigenvalues sort by (real, imag); eigenvector columns get unit 2-norm and
     a phase making their first significant component real non-negative.
-    Raises IllConditionedError when cond(V) exceeds _COND_LIMIT. Equal
-    matrices share their (read-only) spectral arrays.
+    The spectrum is returned at any condition; when cond(V) exceeds
+    _COND_LIMIT, inverse is None and the applies refuse it. Equal matrices
+    share their (read-only) spectral arrays.
     """
     values, vectors, cond, inverse = _eigen_data(scaled.C)
-    if inverse is None:
-        raise IllConditionedError(
-            f"eigenvector condition {cond:.3e} exceeds {_COND_LIMIT:.1e} "
-            f"(n={scaled.basis.n}, family {scaled.basis.family.label})")
     return EigenFactorization(scaled, values, vectors, inverse, cond)
 
 
@@ -264,7 +264,13 @@ def symbol_on_spectrum(eig: EigenFactorization, symbol: ScalarSymbol, kind: str)
 
 
 def _spectral_values(eig: EigenFactorization, phi) -> np.ndarray:
-    """phi at the eigenvalues; PoleEvaluationError names one that is a pole."""
+    """phi at the eigenvalues; IllConditionedError when the eigenvector basis
+    has no inverse, PoleEvaluationError naming an eigenvalue that is a pole."""
+    if eig.inverse is None:
+        basis = eig.scaled.basis
+        raise IllConditionedError(
+            f"eigenvector condition {eig.cond:.3e} exceeds {_COND_LIMIT:.1e} "
+            f"(n={basis.n}, family {basis.family.label})")
     with np.errstate(all="ignore"):  # poles surface as PoleEvaluationError
         vals = np.asarray(phi(eig.values), dtype=np.complex128)
     bad = ~np.isfinite(vals)

@@ -21,22 +21,21 @@ import numpy as np
 __all__ = ["SolveReport", "csv_document", "json_document"]
 
 
-def _clean(obj):
-    """Make metadata JSON-ready: arrays to lists, numpy scalars to Python."""
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+def _plain(obj):
+    """json's hook: numpy arrays and numeric scalars become lists and Python
+    numbers; anything else is refused as json refuses it."""
+    if isinstance(obj, (np.ndarray, np.floating, np.integer)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# json.dumps(obj, default=_plain) without building an encoder on every call
+_dumps = json.JSONEncoder(default=_plain).encode
 
 
 def json_document(obj) -> str:
-    """json.dumps(_clean(obj), sort_keys=True, indent=1) + "\\n", with each
-    numeric array written by the C encoder instead of number by number."""
+    """json.dumps(obj, sort_keys=True, indent=1, default=_plain) + "\\n", with
+    each numeric array written by the C encoder instead of number by number."""
     return _json(obj, "\n") + "\n"
 
 
@@ -57,11 +56,8 @@ def _json(obj, nl: str) -> str:
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "fiub":
             return _json_numeric(obj.tolist(), obj.ndim, nl)
-        # other dtypes go to the encoder as _clean leaves them
         return json.dumps(obj.tolist(), sort_keys=True, indent=1).replace("\n", nl)
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    return json.dumps(obj)
+    return _dumps(obj)
 
 
 def _json_numeric(x, ndim: int, nl: str) -> str:
@@ -95,7 +91,7 @@ def csv_document(meta: dict, header: str, sections) -> str:
     table a 2-D float array whose row i prints as labels[i] (a string, or
     nothing when labels is None) followed by its comma-separated values.
     """
-    parts = ["# metadata: " + json.dumps(_clean(meta), sort_keys=True) + "\n",
+    parts = ["# metadata: " + json.dumps(meta, sort_keys=True, default=_plain) + "\n",
              header + "\n"]
     for title, labels, table in sections:
         if title is not None:

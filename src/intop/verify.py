@@ -6,10 +6,13 @@ exact numerical range); nothing reuses the matrix pipelines being verified.
 Each definite integral is one adaptive_integrate call, and an inner
 indefinite integral at the abscissae of an outer rule is one
 running_integral call per evaluation of the outer integrand, not one
-quadrature per abscissa. A quadrature check's report carries its only
-verdict (passed, or converged for the half-line pairing); no such check
-raises on a failed inequality. Randomized suites draw from a fixed default
-seed which is recorded in the returned reports.
+quadrature per abscissa; the nested pairing int conj(J g) g of the
+positivity identity and the integral chain is written once. A quadrature
+check's report carries its only verdict (passed, or converged for the
+half-line pairing); no such check raises on a failed inequality, and
+verify_suite reads its entries' verdicts from those reports. Randomized
+suites draw from a fixed default seed which is recorded in the returned
+reports.
 """
 
 from __future__ import annotations
@@ -75,6 +78,16 @@ class IdentityReport:
         return self.gap <= self.tol
 
 
+def _cumulative_pairing(g, a: float, b: float, inner_tol: float, tol: float,
+                        lexp=None, rexp=None):
+    """int_a^b conj(J g) g with J g(x) = int_a^x g: the running integrals to
+    inner_tol at the abscissae of the outer rule, the outer integral to tol,
+    and the endpoint exponents lexp, rexp handed to the quadrature."""
+    return adaptive_integrate(
+        lambda x: np.conjugate(running_integral(g, a, x, inner_tol, left_exponent=lexp))
+        * np.asarray(g(x)), a, b, tol, lexp, rexp)[0]
+
+
 def check_positivity_identity(g, interval, tol: float = 1e-9) -> IdentityReport:
     """Re of the cumulative-integral pairing against half the squared total.
 
@@ -84,9 +97,7 @@ def check_positivity_identity(g, interval, tol: float = 1e-9) -> IdentityReport:
     """
     a, b = (float(interval[0]), float(interval[1]))
     inner_tol = tol * 1e-3 / max(b - a, 1.0)
-    pairing, _ = adaptive_integrate(
-        lambda x: np.conjugate(running_integral(g, a, x, inner_tol)) * np.asarray(g(x)),
-        a, b, tol * 1e-1)
+    pairing = _cumulative_pairing(g, a, b, inner_tol, tol * 1e-1)
     total, _ = adaptive_integrate(g, a, b, inner_tol)
     return IdentityReport("re_cumulative_pairing", float(np.real(pairing)),
                           0.5 * abs(total) ** 2, tol)
@@ -275,22 +286,16 @@ def check_integral_chain(f, weight, interval) -> ChainReport:
         x = imap.inverse(s)
         return np.asarray(w(x)) * np.asarray(f(x))
 
-    pairing, _ = adaptive_integrate(
-        lambda s: np.conjugate(wf_mapped(s))
-        * running_integral(wf_mapped, a, s, inner_tol, left_exponent=lexp),
-        a, b, _CHECK_TOL * 1e-1, lexp, rexp)
-
     def wabsf(x):
         return np.asarray(w(x)) * np.abs(np.asarray(f(x)))
 
     half_sq = 0.5 * (b - a) ** 2
-    mid, _ = adaptive_integrate(
-        lambda x: running_integral(wabsf, -1.0, x, inner_tol,
-                                   left_exponent=lexp) * wabsf(x),
-        -1.0, 1.0, _CHECK_TOL * 1e-1, lexp, rexp)
+    lhs = abs(_cumulative_pairing(wf_mapped, a, b, inner_tol, _CHECK_TOL * 1e-1,
+                                  lexp, rexp))
+    mid = _cumulative_pairing(wabsf, -1.0, 1.0, inner_tol, _CHECK_TOL * 1e-1,
+                              lexp, rexp)
     total, _ = adaptive_integrate(wabsf, -1.0, 1.0, inner_tol, lexp, rexp)
-    return ChainReport(abs(pairing), half_sq * mid, half_sq * total * total,
-                       _CHECK_TOL)
+    return ChainReport(lhs, half_sq * mid, half_sq * total * total, _CHECK_TOL)
 
 
 @dataclass
@@ -395,40 +400,31 @@ def numerical_range_sample(scaled: ScaledMatrix) -> RangeSample:
     return RangeSample(points, eigvals, min_re, contained)
 
 
-def _random_suite_reports(samples: int, seed: int):
-    """The randomized identity/bound/chain suites used by verify_suite."""
-    rng = np.random.default_rng(seed)
-    identity_worst = 0.0
-    for _ in range(samples):
-        coeffs = rng.standard_normal(9)
-        rep = check_positivity_identity(lambda x: P.polyval(x, coeffs), (0.0, 1.0))
-        identity_worst = max(identity_worst, rep.gap)
+def _identity_entry(examples, draws) -> dict:
+    """Suite entry of one identity: the gaps of the example reports, the worst
+    gap over the random draws up to and including the first that fails (the
+    rest are never drawn), and passed when every report consumed passed."""
+    worst, passed = 0.0, all(r.passed for r in examples)
+    for rep in draws:
+        worst = max(worst, rep.gap)
         if not rep.passed:
+            passed = False
             break
-    derivative_worst = 0.0
-    for _ in range(samples):
-        coeffs = rng.standard_normal(7)
-        # f = (x - a) * poly vanishes at the left endpoint by construction
-        fc = P.polymul([0.0, 1.0], coeffs)
-        fpc = P.polyder(fc)
-        rep = check_derivative_range(lambda x: P.polyval(x, fc),
-                                     lambda x: P.polyval(x, fpc), (0.0, 1.0))
-        derivative_worst = max(derivative_worst, rep.gap)
-        if not rep.passed:
-            break
-    chain_ok = True
-    chain_rows = []
-    for _ in range(4):
-        coeffs = rng.standard_normal(4)
-        rep = check_integral_chain(lambda x: P.polyval(x, coeffs), None, (0.0, 2.0))
-        chain_rows.append((rep.lhs, rep.mid, rep.rhs))
-        chain_ok &= rep.passed
-    return identity_worst, derivative_worst, chain_ok, chain_rows
+    return {"example_gaps": [r.gap for r in examples], "random_worst_gap": worst,
+            "passed": passed}
 
 
 def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
-    """Run every check once with canonical inputs; JSON-ready summary dict."""
+    """Run every check once with canonical inputs; JSON-ready summary dict.
+
+    Random polynomials are drawn lazily from one generator seeded with seed,
+    in a fixed order: positivity identity, derivative range, integral chain;
+    an identity stops drawing at its first failing draw."""
     out = {"seed": seed, "samples": samples}
+    rng = np.random.default_rng(seed)
+
+    def polys(count, degree):
+        return (rng.standard_normal(degree + 1) for _ in range(count))
 
     examples = [
         check_positivity_identity(lambda x: np.ones_like(np.asarray(x, float)), (0.0, 1.0)),
@@ -436,13 +432,9 @@ def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
         check_positivity_identity(lambda x: np.exp(1j * np.asarray(x, float)),
                                   (0.0, 2.0 * math.pi), tol=1e-10),
     ]
-    identity_worst, derivative_worst, chain_ok, chain_rows = \
-        _random_suite_reports(samples, seed)
-    out["positivity_identity"] = {
-        "example_gaps": [r.gap for r in examples],
-        "random_worst_gap": identity_worst,
-        "passed": all(r.passed for r in examples) and identity_worst <= 1e-9,
-    }
+    out["positivity_identity"] = _identity_entry(examples, (
+        check_positivity_identity(lambda x: P.polyval(x, coeffs), (0.0, 1.0))
+        for coeffs in polys(samples, 8)))
 
     norm = check_norm_bound(samples, (0.0, 2.0), seed=seed,
                             include=[[1.0], [0.0]])
@@ -457,11 +449,16 @@ def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
                                lambda x: (1.0 + 1j * np.asarray(x)) * np.exp(1j * np.asarray(x)),
                                (0.0, 1.0)),
     ]
-    out["derivative_range"] = {
-        "example_gaps": [r.gap for r in dr_examples],
-        "random_worst_gap": derivative_worst,
-        "passed": all(r.passed for r in dr_examples) and derivative_worst <= 1e-9,
-    }
+
+    def derivative_draws():
+        for coeffs in polys(samples, 6):
+            # f = (x - a) * poly vanishes at the left endpoint by construction
+            fc = P.polymul([0.0, 1.0], coeffs)
+            fpc = P.polyder(fc)
+            yield check_derivative_range(lambda x: P.polyval(x, fc),
+                                         lambda x: P.polyval(x, fpc), (0.0, 1.0))
+
+    out["derivative_range"] = _identity_entry(dr_examples, derivative_draws())
 
     half = check_half_line_pairing(lambda y: np.exp(-np.asarray(y, float)))
     out["half_line_pairing"] = {
@@ -475,10 +472,12 @@ def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
 
     chain = check_integral_chain(lambda x: np.ones_like(np.asarray(x, float)),
                               None, (-1.0, 1.0))
+    draws = [check_integral_chain(lambda x: P.polyval(x, coeffs), None, (0.0, 2.0))
+             for coeffs in polys(4, 3)]
     out["integral_chain"] = {
         "flat_example": [chain.lhs, chain.mid, chain.rhs],
-        "random_rows": chain_rows,
-        "passed": chain.passed and chain_ok
+        "random_rows": [(r.lhs, r.mid, r.rhs) for r in draws],
+        "passed": chain.passed and all(r.passed for r in draws)
         and abs(chain.lhs - 2.0) <= 1e-9 and abs(chain.mid - 4.0) <= 1e-9
         and abs(chain.rhs - 8.0) <= 1e-9,
     }

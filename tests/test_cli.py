@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intop.verify
+from intop.basis import WeightFamily, build_basis
 from intop.cli import main
+from intop.intmat import build_integration_matrices
 
 
 def run(tmp_path, *argv):
@@ -88,6 +94,20 @@ def test_eigs_csv_matches_spectrum(tmp_path):
     assert all(x > 0.0 for x in re_parts)
 
 
+@pytest.mark.parametrize("n", [20, 60])
+def test_eigs_reports_the_spectrum_past_the_condition_limit(tmp_path, n):
+    # the eigenvector basis is refused for the applies, not for the spectrum
+    code, text = run(tmp_path, "eigs", "--n", str(n), "--format", "json")
+    assert code == 0
+    doc = json.loads(text)
+    lam = np.array([complex(re, im) for re, im in doc["eigenvalues"]])
+    assert doc["cond"] > 1e8 and lam.size == n
+    assert np.all(lam.real > 0.0)
+    trace = np.trace(build_integration_matrices(
+        build_basis(WeightFamily.legendre(), n)).plus)
+    assert abs(lam.sum() - trace) <= 1e-9 * np.abs(lam).sum()
+
+
 def test_stdout_default(capsys):
     assert main(["matrices", "--family", "legendre", "--n", "2"]) == 0
     captured = capsys.readouterr()
@@ -100,6 +120,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["eigs", "--family", "legendre", "--n", "3",
                  "--a", "2", "--b", "1"]) == 1
     assert main(["conjecture", "--n-max", "4", "--format", "csv"]) == 1
+    assert main(["verify", "--samples", "4", "--format", "csv"]) == 1
     assert main(["matrices", "--family", "hermite", "--n", "3"]) == 1
     capsys.readouterr()
 
@@ -234,3 +255,52 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     capsys.readouterr()
     assert main(first) == 0
     assert capsys.readouterr().out == text
+
+
+def _finite_artifact(text: str, fmt: str) -> bool:
+    """Every number in a demo or eigs artifact is finite; json hands NaN and
+    Infinity to parse_constant."""
+    def refuse(constant):
+        raise ValueError(constant)
+
+    if fmt == "json":
+        doc, cells = text, []
+    else:
+        meta, _, *rows = text.splitlines()
+        doc = meta.removeprefix("# metadata: ")
+        cells = [c for row in rows if not row.startswith("#") for c in row.split(",")]
+    try:
+        json.loads(doc, parse_constant=refuse)
+    except ValueError:
+        return False
+    return all(math.isfinite(float(c)) for c in cells)
+
+
+_finite = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(["ft-invert", "lt-invert", "control", "ode",
+                                "wiener-hopf", "eigs"]),
+       n=st.integers(1, 20), ends=st.tuples(_finite, _finite),
+       alpha=_finite, beta=_finite, fmt=st.sampled_from(["csv", "json"]))
+def test_cli_contract(command, n, ends, alpha, beta, fmt):
+    # exit 0: every number written is finite; 1: a usage error on stderr;
+    # 2: a numerical failure on stderr; nothing escapes main, not even a
+    # RuntimeWarning
+    a, b = sorted(ends)
+    argv = [command, f"--n={n}", f"--a={a!r}", f"--b={b!r}", "--format", fmt]
+    if command == "control":
+        argv += [f"--alpha={alpha!r}", f"--beta={beta!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert _finite_artifact(out.getvalue(), fmt), argv
+    elif code == 1:
+        assert "error:" in err.getvalue(), argv
+    else:
+        assert err.getvalue().startswith("intop: numerical failure:"), argv

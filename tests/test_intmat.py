@@ -247,8 +247,12 @@ def test_ill_conditioned_eigenvectors_raise():
     defective = ScaledMatrix(mats, "+", imap,
                              np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]]),
                              imap.forward(bas.nodes))
+    eig = eigen_factorize(defective)
+    assert eig.cond > _COND_LIMIT and eig.inverse is None
     with pytest.raises(IllConditionedError):
-        eigen_factorize(defective)
+        apply_real(eig, np.exp, np.ones(2))
+    with pytest.raises(IllConditionedError):
+        matrix_function(eig, np.exp)
 
 
 def test_matrix_function_exponential():
@@ -442,9 +446,10 @@ def test_same_matrix_on_another_interval_or_side_gets_its_own_entry():
 def test_refused_matrix_is_held_without_an_inverse():
     scaled = _legendre_scaled(16)
     messages = []
-    for _ in range(2):
+    for apply in (lambda eig: apply_real(eig, np.exp, np.ones(16)),
+                  lambda eig: matrix_function(eig, np.exp)):
         with pytest.raises(IllConditionedError) as err:
-            eigen_factorize(scaled)
+            apply(eigen_factorize(scaled))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "exceeds 1.0e+08 (n=16, family legendre)" in messages[0]
@@ -459,8 +464,12 @@ def test_singular_eigenvector_basis_is_refused_not_inverted():
     jordan = ScaledMatrix(build_integration_matrices(bas), "+", imap,
                           np.array([[0.0, 1.0], [0.0, 0.0]]), imap.forward(bas.nodes))
     for _ in range(2):
+        eig = eigen_factorize(jordan)
+        assert eig.inverse is None
         with pytest.raises(IllConditionedError):
-            eigen_factorize(jordan)
+            apply_real(eig, np.exp, np.ones(2))
+        with pytest.raises(IllConditionedError):
+            matrix_function(eig, np.exp)
 
 
 def test_eigen_memo_holds_at_most_its_byte_budget():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
+import intop.verify
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.errors import NumericalError
 from intop.intmat import ScaledMatrix, build_integration_matrices, eigen_factorize, scale
-from intop.verify import (DEFAULT_SEED, check_derivative_range,
+from intop.verify import (DEFAULT_SEED, IdentityReport, check_derivative_range,
                           check_half_line_pairing, check_integral_chain,
                           check_norm_bound, check_positivity_identity,
                           conjecture_scan, numerical_range_sample, verify_suite)
@@ -235,3 +236,34 @@ def test_verify_suite_small_run():
                 "numerical_range"):
         assert key in out, key
     assert out["seed"] == 123 and out["samples"] == 8
+
+
+def test_suite_stops_an_identity_at_its_first_failing_draw(monkeypatch):
+    # the first three positivity calls are the suite's worked examples; the
+    # third random draw fails and ends that identity's draws
+    positivity, derivative = [], []
+    real_derivative = intop.verify.check_derivative_range
+
+    def fake_positivity(g, interval, tol=1e-9):
+        positivity.append(g(2.0))
+        gap = 0.5 if len(positivity) == 6 else 1e-3 * tol
+        return IdentityReport("re_cumulative_pairing", 1.0 + gap, 1.0, tol)
+
+    def recording_derivative(f, fprime, interval):
+        derivative.append(f(2.0))
+        return real_derivative(f, fprime, interval)
+
+    monkeypatch.setattr(intop.verify, "check_positivity_identity", fake_positivity)
+    monkeypatch.setattr(intop.verify, "check_derivative_range", recording_derivative)
+    suite = verify_suite(samples=5)
+    entry = suite["positivity_identity"]
+    assert entry["passed"] is False and suite["all_passed"] is False
+    assert entry["random_worst_gap"] == 0.5
+    rng = np.random.default_rng(DEFAULT_SEED)
+    assert positivity[3:] == [P.polyval(2.0, rng.standard_normal(9)) for _ in range(3)]
+    # the five derivative draws continue the same generator after those three
+    expected = [P.polyval(2.0, P.polymul([0.0, 1.0], rng.standard_normal(7)))
+                for _ in range(5)]
+    assert len(derivative) == 3 + 5
+    assert [v for v in derivative if v in expected] == expected
+    assert suite["derivative_range"]["passed"] is True

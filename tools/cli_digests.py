@@ -43,15 +43,16 @@ def grid() -> list[list[str]]:
     """matrices at n = 1, 5, 16 and for each family kind at n = 5, 60 and
     200 (past every other request, where a change of node solver would
     first move bits);
-    eigs and the five demos at n = 1, 5, 11, 15, 16 (the eigen route refuses
-    n = 16) and once on a non-default interval; control with non-default
-    alpha and beta, and with alpha = 0 at n = 5 and 16 (refused before
-    any numerics, so exit 1 even where the factorization fails); ode at
-    n = 40; a NaN drive rate and intervals too long for the ode and
-    wiener-hopf demos; drives and exact solutions that overflow; negative
-    values in exponent notation given after a space; the scan and the suite;
-    both formats throughout; and the suite as the verify benchmark calls it,
-    with 100 samples."""
+    eigs and the five demos at n = 1, 5, 11, 15, 16 (the applies refuse the
+    eigenvector basis at n = 16, while eigs reports its spectrum) and once on
+    a non-default interval; control with non-default alpha and beta, and
+    with alpha = 0 at n = 5 and 16 (refused before any numerics, so exit 1
+    even where the apply would refuse); ode at n = 40; eigs at n = 60; a
+    NaN drive rate and intervals too long for the ode and wiener-hopf demos;
+    drives and exact solutions that overflow; negative values in exponent
+    notation given after a space; the scan and the suite; both formats
+    throughout; and the suite as the verify benchmark calls it, with 100
+    samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
     requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
@@ -61,11 +62,13 @@ def grid() -> list[list[str]]:
     requests += [[cmd, "--a", a, "--b", b, *f]
                  for cmd, (a, b) in INTERVALS.items() for f in fmts]
     requests += [["control", "--alpha", "0.5", "--beta", "1.2", *f] for f in fmts]
-    # alpha = 0 is refused before the factorization: exit 1 at n = 5 and at
-    # n = 16, where the factorization would be refused (exit 2)
+    # alpha = 0 is refused before any numerics: exit 1 at n = 5 and at
+    # n = 16, where the apply would be refused (exit 2)
     requests += [["control", "--n", n, "--alpha", "0"] for n in ("5", "16")]
     # ode at n = 40: Hermite refinement of degree 79 stays at rounding level
     requests += [["ode", "--n", "40", *f] for f in fmts]
+    # eigs at n = 60: the spectrum of a basis far past the condition limit
+    requests += [["eigs", "--n", "60", *f] for f in fmts]
     # refused inputs: a NaN rate (exit 1) and overflowing intervals (exit 2)
     requests += [["control", "--beta", "nan"], ["ode", "--b", "1e300"],
                  ["wiener-hopf", "--b", "30"]]
