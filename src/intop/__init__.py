@@ -19,8 +19,8 @@ from .intmat import (EigenFactorization, IntegrationMatrices, ScaledMatrix,
 from .invert import fourier_demo, fourier_invert, laplace_demo, laplace_invert
 from .ode import (ChainResult, OdeProblem, PicardResult, hermite_refine,
                   picard_solve, restart_extend, tangent_demo)
-from .oracle import (adaptive_integrate, bessel_j0, direct_convolution,
-                     load_fixtures, running_integral)
+from .oracle import (adaptive_integrate, direct_convolution, load_fixtures,
+                     running_integral)
 from .report import SolveReport
 from .verify import (ChainReport, ConjectureReport, HalfLineReport,
                      IdentityReport, NormBoundReport, RangeSample,

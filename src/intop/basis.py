@@ -75,18 +75,20 @@ class WeightFamily:
     @classmethod
     def parse(cls, text: str) -> "WeightFamily":
         """Parse 'legendre', 'chebyshev1', 'gegenbauer:L' or 'jacobi:A,B'."""
-        head, _, tail = text.partition(":")
+        head, colon, tail = text.partition(":")
         head = head.strip().lower()
-        if head == "legendre":
-            return cls.legendre()
-        if head == "chebyshev1":
-            return cls.chebyshev_first()
-        if head == "gegenbauer":
-            return cls.gegenbauer(float(tail))
-        if head == "jacobi":
-            a, b = (float(s) for s in tail.split(","))
-            return cls.jacobi(a, b)
-        raise ValueError(f"unknown weight family {text!r}")
+        families = {"legendre": (cls.legendre, 0),
+                    "chebyshev1": (cls.chebyshev_first, 0),
+                    "gegenbauer": (cls.gegenbauer, 1),
+                    "jacobi": (cls.jacobi, 2)}
+        if head not in families:
+            raise ValueError(f"unknown weight family {text!r}")
+        build, count = families[head]
+        params = tail.split(",") if colon else []
+        if len(params) != count:
+            raise ValueError(f"weight family {head} takes {count} "
+                             f"parameter(s), got {text!r}")
+        return build(*(float(s) for s in params))
 
     @property
     def symmetric(self) -> bool:

@@ -9,8 +9,8 @@ left_exponent=g. The integrand is called once per Gauss rule on the
 abscissae of every seed panel (one per gap between breakpoints) together.
 After that, adaptive_integrate gives each bisection child calls of its own,
 while running_integral, whose integrand must be pointwise, evaluates the
-next three bisection levels below a panel in one call per rule. The Bessel
-evaluation is series/asymptotic, and convolutions are integrated pointwise.
+next three bisection levels below a panel in one call per rule. Convolutions
+are integrated pointwise.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import OracleError
 
 __all__ = [
     "adaptive_integrate",
-    "bessel_j0",
     "direct_convolution",
     "load_fixtures",
     "running_integral",
@@ -164,23 +163,16 @@ def _desingularized(f, a: float, b: float, exponent: float, left: bool):
     integrand f(x(u)) * du-Jacobian is bounded at u = 0, so plain bisection
     converges at full rate afterwards.
     """
-    span = b - a
     p = 1.0 / (1.0 + exponent)
-    upper = span ** (1.0 + exponent)
-    # u**p can round a + u**p onto the endpoint itself once u**p < ulp(a);
+    # end +- u**p rounds onto the singular end itself once u**p < ulp(end);
     # keep evaluations one float inside so singular factors stay finite, and
-    # at most b, which running_integral sets to its largest point.
-    if left:
-        edge = np.nextafter(a, b)
+    # on the left at most b, which running_integral sets to its largest point.
+    end, sign, lo, hi = ((a, 1.0, np.nextafter(a, b), b) if left
+                         else (b, -1.0, -np.inf, np.nextafter(b, a)))
 
-        def g(u):
-            return f(np.clip(a + u ** p, edge, b)) * p * u ** (p - 1.0)
-    else:
-        edge = np.nextafter(b, a)
-
-        def g(u):
-            return f(np.minimum(b - u ** p, edge)) * p * u ** (p - 1.0)
-    return g, 0.0, upper
+    def g(u):
+        return f(np.clip(end + sign * u ** p, lo, hi)) * p * u ** (p - 1.0)
+    return g, 0.0, (b - a) ** (1.0 + exponent)
 
 
 def adaptive_integrate(f, a: float, b: float, tol: float,
@@ -255,66 +247,6 @@ def running_integral(f, a: float, points, tol: float,
         edges = (edges - a) ** (1.0 + left_exponent)
     values, _ = _adaptive(f, edges, tol, pointwise=True)
     return np.cumsum(values)[np.argsort(order)]
-
-
-# Hankel coefficients for the large-argument form of J0: h[m+1] = -h[m]*(2m+1)^2/(4(m+1)).
-_HANKEL_M = 30
-_HANKEL = np.empty(_HANKEL_M + 1)
-_HANKEL[0] = 1.0
-for _m in range(_HANKEL_M):
-    _HANKEL[_m + 1] = -_HANKEL[_m] * (2 * _m + 1) ** 2 / (4.0 * (_m + 1))
-
-_J0_SWITCH = 15.0
-
-
-def _j0_series(x):
-    """Power series in 80-bit accumulation; cancellation-safe up to ~15."""
-    q = -0.25 * np.asarray(x, dtype=np.longdouble) ** 2
-    term = np.ones_like(q)
-    acc = np.ones_like(q)
-    for k in range(1, 80):
-        term = term * q / (k * k)
-        acc = acc + term
-        if float(np.max(np.abs(term))) < 1e-20:
-            break
-    return acc.astype(np.float64)
-
-
-def _j0_asymptotic(x):
-    """Large-argument form sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - pi/4.
-
-    The P/Q series are truncated near their smallest term for x ~ 15; the
-    omitted tail is below ~4e-13 there and falls off exponentially beyond.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    inv = 1.0 / (2.0 * x)
-    p_sum = np.zeros_like(x)
-    q_sum = np.zeros_like(x)
-    sign = 1.0
-    for k in range(0, _HANKEL_M + 1, 2):
-        p_sum += sign * _HANKEL[k] * inv ** k
-        if k + 1 <= _HANKEL_M:
-            q_sum += sign * _HANKEL[k + 1] * inv ** (k + 1)
-        sign = -sign
-    chi = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
-
-
-def bessel_j0(x):
-    """Bessel function J0, series for |x| <= 15 and the asymptotic form beyond.
-
-    Absolute error stays below 1e-12 on [0, 50]; J0 is even, so the sign of x
-    is immaterial. Scalar in, float out; ndarray in, ndarray out.
-    """
-    scalar = np.isscalar(x)
-    ax = np.abs(np.atleast_1d(np.asarray(x, dtype=np.float64)))
-    out = np.empty_like(ax)
-    small = ax <= _J0_SWITCH
-    if np.any(small):
-        out[small] = _j0_series(ax[small])
-    if np.any(~small):
-        out[~small] = _j0_asymptotic(ax[~small])
-    return float(out[0]) if scalar else out
 
 
 def direct_convolution(kernel, g, side, imap, points, tol: float = 1e-10):

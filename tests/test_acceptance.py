@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.convolve import (ControlSpec, control_demo, control_inverse,
@@ -19,7 +20,7 @@ from intop.intmat import (ScaledMatrix, build_integration_matrices,
 from intop.invert import (ScalarSymbol, fourier_demo, laplace_demo,
                           laplace_invert)
 from intop.ode import OdeProblem, picard_solve, tangent_demo
-from intop.oracle import (adaptive_integrate, bessel_j0, direct_convolution,
+from intop.oracle import (adaptive_integrate, direct_convolution,
                           load_fixtures)
 from intop.verify import conjecture_scan, verify_suite
 from intop.wiener_hopf import exp_kernel_demo
@@ -131,7 +132,7 @@ def test_criterion_06_control_demo_reference_oracle_roundtrip():
         spec_ = ControlSpec(alpha, beta)
         response = control_response(spec_, eig)
         oracle = direct_convolution(
-            lambda s: np.exp(alpha * s) * bessel_j0(s),
+            lambda s: np.exp(alpha * s) * j0(s),
             lambda t: np.exp(-beta * t), "-", imap, eig.scaled.xi, tol=1e-12)
         gap = np.abs(response - oracle).max()
         print(f"  n=11 vs direct quadrature {gap:.3e} "

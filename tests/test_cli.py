@@ -198,6 +198,11 @@ def test_node_failure_exits_two(tmp_path, monkeypatch, capsys):
     # a finite bad value too; the eigen route would refuse n = 16 (exit 2),
     # but alpha is checked before any numerics
     (["control", "--n", "16", "--alpha", "0"], "alpha must be positive, got 0"),
+    # a family given the wrong number of parameters is refused, its text quoted
+    (["matrices", "--family", "legendre:3"], "got 'legendre:3'"),
+    (["matrices", "--family", "chebyshev1:2"], "got 'chebyshev1:2'"),
+    (["matrices", "--family", "jacobi:1"], "got 'jacobi:1'"),
+    (["matrices", "--family", "jacobi:1,2,3"], "got 'jacobi:1,2,3'"),
 ])
 def test_non_finite_input_exits_one(tmp_path, capsys, argv, bad):
     with warnings.catch_warnings():

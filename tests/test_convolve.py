@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.convolve import (ControlSpec, control_demo, control_inverse,
                             control_response, convolve, damped_bessel_symbol)
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
                           eigen_factorize, scale)
-from intop.oracle import (adaptive_integrate, bessel_j0, direct_convolution,
+from intop.oracle import (adaptive_integrate, direct_convolution,
                           load_fixtures)
 
 THRESH = load_fixtures()["thresholds"]
@@ -47,7 +48,7 @@ def test_right_running_matches_quadrature():
     eig = make_eig(8, 0.0, 3.0, side="-")
     g = np.exp(-0.7 * eig.scaled.xi)
     f = convolve(sym, g, eig)
-    ref = direct_convolution(lambda s: np.exp(alpha * s) * bessel_j0(s),
+    ref = direct_convolution(lambda s: np.exp(alpha * s) * j0(s),
                              lambda t: np.exp(-0.7 * t), "-", imap,
                              eig.scaled.xi, tol=1e-12)
     assert np.abs(f - ref).max() < 1e-6
@@ -57,7 +58,7 @@ def test_symbol_matches_defining_integral():
     sym = damped_bessel_symbol(1.0)
     for y in (0.0, 0.7, -1.3):
         ref, _ = adaptive_integrate(
-            lambda t: np.exp(-1j * y * t) * np.exp(-t) * bessel_j0(t),
+            lambda t: np.exp(-1j * y * t) * np.exp(-t) * j0(t),
             0.0, 60.0, tol=1e-13)
         assert abs(sym(y) - ref) < 1e-12, y
 
