@@ -6,8 +6,8 @@ identity-verification suite used to check them.
 
 from .basis import (ExtrapolationWarning, IntervalMap, QuadratureBasis,
                     WeightFamily, barycentric_weights, build_basis,
-                    interpolate, lagrange_cardinal, legendre_coefficients,
-                    orthonormal_table, recurrence_coefficients)
+                    interpolate, lagrange_cardinal, orthonormal_table,
+                    recurrence_coefficients)
 from .convolve import (ControlSpec, control_demo, control_inverse,
                        control_response, convolve, damped_bessel_symbol)
 from .errors import (IllConditionedError, NodeComputationError,

@@ -27,7 +27,6 @@ __all__ = [
     "barycentric_weights",
     "lagrange_cardinal",
     "interpolate",
-    "legendre_coefficients",
 ]
 
 
@@ -103,9 +102,13 @@ class WeightFamily:
         return self.kind
 
     def weight(self, x):
-        """Weight density; unbounded at endpoints for negative exponents."""
+        """Weight density; unbounded at endpoints for negative exponents.
+
+        A factor whose exponent is 0 is 1 at every x and is not evaluated.
+        """
         x = np.asarray(x, dtype=np.float64)
-        return (1.0 - x) ** self.alpha * (1.0 + x) ** self.beta
+        out = (1.0 - x) ** self.alpha if self.alpha else np.ones_like(x)
+        return out * (1.0 + x) ** self.beta if self.beta else out
 
 
 @dataclass(frozen=True)
@@ -293,24 +296,3 @@ def interpolate(basis: QuadratureBasis, imap: IntervalMap, values, points):
     mat = _barycentric_matrix(basis.nodes, bw, np.asarray(imap.inverse(points)))
     return mat @ values
 
-
-def legendre_coefficients(basis: QuadratureBasis, values, max_k: int | None = None,
-                          tol: float = 1e-10):
-    """Normalized-Legendre coefficient estimates from node data.
-
-    Returns (coeffs, stop) where coeffs[k] = sum_l w_l f(x_l) phi_k(x_l) for
-    k <= max_k (default n-1) and stop is the first k with |coeffs[k]| < tol,
-    or None if the tail never drops below tol. Legendre bases only; the
-    estimate is only trustworthy for k below the node count.
-    """
-    if basis.family.kind != "legendre":
-        raise ValueError("coefficient estimation requires a legendre basis")
-    if max_k is None:
-        max_k = basis.n - 1
-    if not 0 <= max_k <= basis.n - 1:
-        raise ValueError("max_k must lie in [0, n-1]")
-    values = np.asarray(values)
-    coeffs = basis.table[:max_k + 1] @ (basis.gauss_weights * values)
-    below = np.nonzero(np.abs(coeffs) < tol)[0]
-    stop = int(below[0]) if below.size else None
-    return coeffs, stop

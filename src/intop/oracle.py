@@ -9,8 +9,11 @@ left_exponent=g. The integrand is called once per Gauss rule on the
 abscissae of every seed panel (one per gap between breakpoints) together.
 After that, adaptive_integrate gives each bisection child calls of its own,
 while running_integral, whose integrand must be pointwise, evaluates the
-next three bisection levels below a panel in one call per rule. Convolutions
-are integrated pointwise.
+next three bisection levels below a panel in one call per rule. An
+integrand may also return a (k, m) stack of k integrands on its m abscissae:
+the rows share every call, but each row keeps its own heap and stopping
+rule, so row i comes out bit for bit as it would alone. Convolutions are
+integrated pointwise.
 """
 
 from __future__ import annotations
@@ -48,29 +51,34 @@ _ROUNDOFF = 50.0 * np.finfo(np.float64).eps
 
 def _panels(f, lo, hi):
     """Return (values, error estimates, integrals of |f|) for the panels
-    [lo[i], hi[i]] as Python lists.
+    [lo[i], hi[i]], each a list of rows of Python scalars, one per panel,
+    and whether f returned a stack.
 
     f is called once per Gauss rule (10-point, then 21-point) on the
-    abscissae of every panel together. Value and error come from the 10/21
-    pair; the integral of |f| reuses the 21-point evaluations. Each row is
-    summed and each error taken as a scalar would be, so a panel gets the
-    same bits whichever panels share its call.
+    abscissae of every panel together, and returns either one value per
+    abscissa (one row) or a (k, m) stack of k rows. Value and error come
+    from the 10/21 pair; the integral of |f| reuses the 21-point
+    evaluations. Each row of each panel is summed and each error taken as a
+    scalar would be, so a panel row gets the same bits whichever panels and
+    rows share its call.
     """
     mid = (0.5 * (lo + hi))[:, None]
     rad = 0.5 * (hi - lo)
 
     def rule(nodes):
-        x = (mid + rad[:, None] * nodes).ravel()
-        return np.asarray(f(x)).reshape(len(rad), len(nodes))
+        fx = np.asarray(f((mid + rad[:, None] * nodes).ravel()))
+        return fx.reshape(-1, len(rad), len(nodes)), fx.ndim > 1
 
-    v_lo = rad * np.add.reduce(_GAUSS_LO[1] * rule(_GAUSS_LO[0]), axis=1)
-    f_hi = rule(_GAUSS_HI[0])
-    v_hi = rad * np.add.reduce(_GAUSS_HI[1] * f_hi, axis=1)
-    mag = rad * np.add.reduce(_GAUSS_HI[1] * np.abs(f_hi), axis=1)
+    f_lo, stacked = rule(_GAUSS_LO[0])
+    v_lo = rad * np.add.reduce(_GAUSS_LO[1] * f_lo, axis=2)
+    f_hi, _ = rule(_GAUSS_HI[0])
+    v_hi = rad * np.add.reduce(_GAUSS_HI[1] * f_hi, axis=2)
+    mag = rad * np.add.reduce(_GAUSS_HI[1] * np.abs(f_hi), axis=2)
     # np.abs of a complex array can differ in the last bit from the scalar
     # abs, which is hypot
     diff = v_hi - v_lo
-    return v_hi.tolist(), np.hypot(diff.real, diff.imag).tolist(), mag.tolist()
+    return (v_hi.tolist(), np.hypot(diff.real, diff.imag).tolist(),
+            mag.tolist(), stacked)
 
 
 def _fsum(vals):
@@ -88,39 +96,32 @@ def _stall(reason: str, heap, total_err: float, tol: float, total_mag: float):
         f"tol {tol:.3e}, roundoff floor {_ROUNDOFF * total_mag:.3e})")
 
 
-def _bisections(f, lo, hi, levels: int):
+def _bisections(panels, lo, hi, levels: int):
     """{(l, h): (value, error, mag)} for the panels of the next `levels`
-    bisections below [lo, hi], from one _panels call."""
+    bisections below [lo, hi], from one panels call."""
     bounds, level = [], [(lo, hi)]
     for _ in range(levels):
         level = [half for l, h in level
                  for half in ((l, 0.5 * (l + h)), (0.5 * (l + h), h))]
         bounds += level
     l, h = np.array(bounds).T
-    return dict(zip(bounds, zip(*_panels(f, l, h))))
+    return dict(zip(bounds, zip(*panels(l, h))))
 
 
-def _adaptive(f, edges, tol: float, pointwise: bool = False):
-    """Bisect one heap seeded with a panel per gap between consecutive edges
-    until the error estimate summed over all gaps is at or below
-    max(tol, roundoff floor). Returns (value of each gap, summed estimate).
+def _bisect(panels, heap, n_gaps: int, tol: float, pointwise: bool):
+    """Bisect one row's heap of seed panels until its error estimate summed
+    over all gaps is at or below max(tol, roundoff floor). panels(lo, hi)
+    gives the row's (values, errors, mags) on the panels [lo[i], hi[i]].
+    Returns (value of each of the n_gaps gaps, summed estimate).
 
-    pointwise says that f's value at an abscissa does not depend on the
-    other abscissae of its call. Then a popped panel whose halves are not yet
+    pointwise says that the integrand's value at an abscissa does not depend
+    on the other abscissae of its call. Then a popped panel whose halves are not yet
     known has its next _LOOKAHEAD levels (at most down to _MAX_DEPTH)
-    evaluated in one _panels call; since _panels gives a panel the same bits
+    evaluated in one panels call; since _panels gives a panel the same bits
     in any company, the heap sees exactly the values and pops it would see
     with one call per child.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    gaps = np.flatnonzero(edges[:-1] < edges[1:])
-    tie = itertools.count()
-    heap = []
-    if len(gaps):
-        lo, hi = edges[gaps], edges[gaps + 1]
-        seeds = zip(*_panels(f, lo, hi), lo.tolist(), hi.tolist(), gaps.tolist())
-        heap = [(-err, next(tie), l, h, 0, val, mag, gap)
-                for val, err, mag, l, h, gap in seeds]
+    tie = itertools.count(len(heap))
     heapq.heapify(heap)
     total_err = math.fsum(-item[0] for item in heap)
     total_mag = math.fsum(item[6] for item in heap)
@@ -138,22 +139,66 @@ def _adaptive(f, edges, tol: float, pointwise: bool = False):
         if pointwise:
             if (lo, mid) not in known:
                 known.update(_bisections(
-                    f, lo, hi, min(_LOOKAHEAD, _MAX_DEPTH - depth)))
+                    panels, lo, hi, min(_LOOKAHEAD, _MAX_DEPTH - depth)))
             (v1, e1, m1), (v2, e2, m2) = known.pop((lo, mid)), known.pop((mid, hi))
         else:
             # one call per child: an integrand that runs a running_integral
             # over its abscissae (the outer rules in verify) would round
             # differently if handed both children at once
-            (v1,), (e1,), (m1,) = _panels(f, np.array([lo]), np.array([mid]))
-            (v2,), (e2,), (m2,) = _panels(f, np.array([mid]), np.array([hi]))
+            (v1,), (e1,), (m1,) = panels(np.array([lo]), np.array([mid]))
+            (v2,), (e2,), (m2,) = panels(np.array([mid]), np.array([hi]))
         heapq.heappush(heap, (-e1, next(tie), lo, mid, depth + 1, v1, m1, gap))
         heapq.heappush(heap, (-e2, next(tie), mid, hi, depth + 1, v2, m2, gap))
         total_err += e1 + e2 + neg_err
         total_mag += m1 + m2 - m
-    parts = [[] for _ in range(len(edges) - 1)]
+    parts = [[] for _ in range(n_gaps)]
     for item in heap:
         parts[item[7]].append(item[5])
     return [_fsum(vals) for vals in parts], total_err
+
+
+def _adaptive(f, edges, tol: float, pointwise: bool = False):
+    """Integrate f over every gap between consecutive edges: seed a panel
+    per gap, every row of a stacked f in one _panels call, then bisect each
+    row that is not yet within max(tol, roundoff floor) on a heap of its own.
+
+    Returns (value of each gap, summed estimate) for a one-row f, and for a
+    stack of k rows a (gaps, k) array of values and a length-k array of
+    estimates; row i is bit for bit what f's row i alone would give. A row
+    that bisects evaluates the whole stack for each of its panels and keeps
+    its own row. f is never called when every gap is empty; the result is
+    then that of one row of zeros.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    gaps = np.flatnonzero(edges[:-1] < edges[1:])
+    n_gaps = len(edges) - 1
+    if not len(gaps):
+        return [0.0] * n_gaps, 0.0
+    lo, hi = edges[gaps], edges[gaps + 1]
+    *seeds, stacked = _panels(f, lo, hi)
+    gap_list = gaps.tolist()
+    rows = []
+    for row, (vals, errs, mags) in enumerate(zip(*seeds)):
+        total_err = math.fsum(errs)
+        if total_err <= max(tol, _ROUNDOFF * math.fsum(mags)):
+            # one panel per gap: _fsum([v]) is v + 0.0 (so -0.0 becomes 0.0)
+            # unless an imaginary part is not finite
+            parts = [0.0] * n_gaps
+            for gap, v in zip(gap_list, vals):
+                parts[gap] = v + 0.0 if isinstance(v, float) else _fsum([v])
+            rows.append((parts, total_err))
+            continue
+
+        def panels(l, h, row=row):
+            return tuple(s[row] for s in _panels(f, l, h)[:3])
+
+        heap = [(-err, tie, l, h, 0, val, mag, gap) for tie, (val, err, mag, l, h, gap)
+                in enumerate(zip(vals, errs, mags, lo.tolist(), hi.tolist(), gap_list))]
+        rows.append(_bisect(panels, heap, n_gaps, tol, pointwise))
+    if not stacked:
+        return rows[0]
+    values, errs = zip(*rows)
+    return np.array(values).T, np.array(errs)
 
 
 def _desingularized(f, a: float, b: float, exponent: float, left: bool):
@@ -188,6 +233,15 @@ def adaptive_integrate(f, a: float, b: float, tol: float,
     exponent g > -1 means f behaves like (x - a)^g (resp. (b - x)^g) there,
     and the integral is transformed to remove the singularity before
     bisection starts.
+
+    f may instead return a (k, m) stack: k integrands on the call's m
+    abscissae. value and error_estimate are then length-k arrays, and row
+    i of each (its OracleError text included) is bit for bit what f's row i
+    alone gives: all rows are seeded in one call per Gauss rule, then each
+    keeps its own heap and stopping rule. A row that bisects evaluates the
+    whole stack for each of its panels and keeps its own row, so a stack
+    pays off when its rows converge on their seed panel, as the verify
+    suite's polynomial draws do (both Gauss rules are exact for them).
 
     Bisection stops once the error estimate is at or below
     max(tol, 50 * eps * integral of |f|); the second term is the roundoff
@@ -232,7 +286,11 @@ def running_integral(f, a: float, points, tol: float,
 
     f must be pointwise: one call holds the abscissae of many panels (every
     seed panel, then up to three bisection levels below a panel), and f's
-    value at each abscissa may not depend on the others in its call.
+    value at each abscissa may not depend on the others in its call. A
+    stacked f, (k, m) values on m abscissae as in adaptive_integrate, gives
+    a (k, len(points)) array whose row i is bit for bit f's row i alone.
+    When no point lies above a, f is never called and the result is one row
+    of zeros, which broadcasts against a stack.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -246,7 +304,7 @@ def running_integral(f, a: float, points, tol: float,
         f, _, _ = _desingularized(f, a, edges[-1], left_exponent, left=True)
         edges = (edges - a) ** (1.0 + left_exponent)
     values, _ = _adaptive(f, edges, tol, pointwise=True)
-    return np.cumsum(values)[np.argsort(order)]
+    return np.cumsum(values, axis=0)[np.argsort(order)].T
 
 
 def direct_convolution(kernel, g, side, imap, points, tol: float = 1e-10):

@@ -7,12 +7,19 @@ Each definite integral is one adaptive_integrate call, and an inner
 indefinite integral at the abscissae of an outer rule is one
 running_integral call per evaluation of the outer integrand, not one
 quadrature per abscissa; the nested pairing int conj(J g) g of the
-positivity identity and the integral chain is written once. A quadrature
-check's report carries its only verdict (passed, or converged for the
-half-line pairing); no such check raises on a failed inequality, and
-verify_suite reads its entries' verdicts from those reports. Randomized
-suites draw from a fixed default seed which is recorded in the returned
-reports.
+positivity identity and the integral chain is written once. Random
+polynomials are integrated as stacks: check_positivity_identity and
+check_derivative_range take an integrand that returns one row per
+polynomial and give one report per row, check_norm_bound stacks its own
+rows, and every polynomial integrand is the Horner evaluator _horner, which
+matches P.polyval bit for bit, so each row's report is the one it would get
+alone. A quadrature check's report carries its only verdict (passed, or
+converged for the half-line pairing); no such check raises on a failed
+inequality, and verify_suite reads its entries' verdicts from those reports.
+Randomized suites draw from a fixed default seed which is recorded in the returned
+reports; verify_suite draws an identity's rows in one call and, when a draw
+fails, rewinds the generator so that later identities draw what they would
+have drawn had the rows after the failing one never been drawn.
 """
 
 from __future__ import annotations
@@ -78,6 +85,22 @@ class IdentityReport:
         return self.gap <= self.tol
 
 
+def _horner(coeffs):
+    """The integrand x -> sum_j coeffs[..., j] x^j for a row of coefficients
+    (lowest degree first), or the stack of one row per polynomial for a 2-d
+    array; it takes P.polyval's steps, c[-1] + x*0 and then c[j] + out*x, so
+    each row matches P.polyval bit for bit."""
+    c = np.asarray(coeffs, dtype=np.float64)
+
+    def g(x):
+        x = np.asarray(x, dtype=np.float64)
+        out = c[..., -1, None] + x * 0
+        for j in range(c.shape[-1] - 2, -1, -1):
+            out = c[..., j, None] + out * x
+        return out
+    return g
+
+
 def _cumulative_pairing(g, a: float, b: float, inner_tol: float, tol: float,
                         lexp=None, rexp=None):
     """int_a^b conj(J g) g with J g(x) = int_a^x g: the running integrals to
@@ -88,19 +111,30 @@ def _cumulative_pairing(g, a: float, b: float, inner_tol: float, tol: float,
         * np.asarray(g(x)), a, b, tol, lexp, rexp)[0]
 
 
-def check_positivity_identity(g, interval, tol: float = 1e-9) -> IdentityReport:
+def _reports(name, lhs, rhs, tol):
+    """One IdentityReport for a scalar lhs, or a tuple of one per row for the
+    rows of a stack; rhs holds the right sides in row order."""
+    reports = tuple(IdentityReport(name, float(np.real(v)), r, tol)
+                    for v, r in zip(np.ravel(lhs).tolist(), rhs))
+    return reports if np.ndim(lhs) else reports[0]
+
+
+def check_positivity_identity(g, interval, tol: float = 1e-9):
     """Re of the cumulative-integral pairing against half the squared total.
 
     Both the inner indefinite integral and the outer inner product are done
     by adaptive quadrature, so the check is independent of the collocation
-    matrices. g must accept array arguments and may be complex-valued.
+    matrices. g must accept array arguments and may be complex-valued. A g
+    that returns a (k, m) stack on m abscissae is k integrands checked in
+    one stacked quadrature (see adaptive_integrate); the result is then a
+    tuple of k reports in row order, each the report of its row alone.
     """
     a, b = (float(interval[0]), float(interval[1]))
     inner_tol = tol * 1e-3 / max(b - a, 1.0)
     pairing = _cumulative_pairing(g, a, b, inner_tol, tol * 1e-1)
     total, _ = adaptive_integrate(g, a, b, inner_tol)
-    return IdentityReport("re_cumulative_pairing", float(np.real(pairing)),
-                          0.5 * abs(total) ** 2, tol)
+    return _reports("re_cumulative_pairing", pairing,
+                    [0.5 * abs(t) ** 2 for t in np.ravel(total).tolist()], tol)
 
 
 @dataclass(frozen=True)
@@ -131,42 +165,48 @@ def check_norm_bound(samples: int, interval, seed: int = DEFAULT_SEED,
         raise ValueError("need at least one sample")
     a, b = (float(interval[0]), float(interval[1]))
     bound = (b - a) / math.sqrt(2.0)
-    rng = np.random.default_rng(seed)
-    coeff_rows = [np.asarray(c, dtype=np.float64) for c in include]
-    coeff_rows += [rng.standard_normal(_NORM_DEGREE + 1) for _ in range(samples)]
-    ratios = []
-    skipped = 0
-    for coeffs in coeff_rows:
-        norm_g2, _ = adaptive_integrate(lambda x: P.polyval(x, coeffs) ** 2,
-                                        a, b, 1e-13)
-        if norm_g2 < 1e-28:
-            skipped += 1
-            continue
-        anti = P.polyint(coeffs)
-        anti[0] -= P.polyval(a, anti)
-        norm_j2, _ = adaptive_integrate(lambda x: P.polyval(x, anti) ** 2,
-                                        a, b, 1e-13)
-        ratios.append(math.sqrt(norm_j2 / norm_g2))
+    rows = [np.asarray(c, dtype=np.float64) for c in include]
+    rows += list(np.random.default_rng(seed).standard_normal(
+        (samples, _NORM_DEGREE + 1)))
+    # zero high coefficients leave every Horner step's bits alone, so the
+    # rows are padded to one length and integrated as one stack
+    coeffs = np.zeros((len(rows), max(len(c) for c in rows)))
+    for c, row in zip(coeffs, rows):
+        c[:len(row)] = row
+    g = _horner(coeffs)
+    norm_g2, _ = adaptive_integrate(lambda x: g(x) ** 2, a, b, 1e-13)
+    norm_g2 = norm_g2.tolist()
+    kept = [i for i, v in enumerate(norm_g2) if not v < 1e-28]
+    anti = P.polyint(coeffs[kept].T)  # one column per row
+    anti[0] -= P.polyval(a, anti)
+    j = _horner(anti.T)
+    norm_j2, _ = adaptive_integrate(lambda x: j(x) ** 2, a, b, 1e-13)
+    ratios = [math.sqrt(nj / norm_g2[i]) for i, nj in zip(kept, norm_j2.tolist())]
     return NormBoundReport(bound, max(ratios, default=0.0), tuple(ratios),
-                           skipped, seed)
+                           len(rows) - len(kept), seed)
 
 
-def check_derivative_range(f, fprime, interval) -> IdentityReport:
+def check_derivative_range(f, fprime, interval):
     """Re of the (f', f) pairing against half the squared boundary values.
 
     f must vanish at the left endpoint (that is what makes f' the preimage
-    of f under the cumulative integral); both f and fprime take arrays.
+    of f under the cumulative integral); both f and fprime take arrays. f
+    and fprime may return (k, m) stacks on m abscissae (one value per row
+    at a scalar): the k pairs are checked in one stacked quadrature, and
+    the result is a tuple of k reports in row order, each the report of its
+    row alone.
     """
     a, b = (float(interval[0]), float(interval[1]))
-    if abs(complex(np.asarray(f(a)).item())) > 1e-8:
+    fa = [complex(v) for v in np.ravel(f(a)).tolist()]
+    if any(abs(v) > 1e-8 for v in fa):
         raise ValueError("f must vanish at the left endpoint")
     pairing, _ = adaptive_integrate(
         lambda x: np.conjugate(np.asarray(fprime(x))) * np.asarray(f(x)),
         a, b, _CHECK_TOL * 1e-2)
-    fa = complex(np.asarray(f(a)).item())
-    fb = complex(np.asarray(f(b)).item())
-    return IdentityReport("re_derivative_pairing", float(np.real(pairing)),
-                          0.5 * (abs(fb) ** 2 - abs(fa) ** 2), _CHECK_TOL)
+    fb = [complex(v) for v in np.ravel(f(b)).tolist()]
+    return _reports("re_derivative_pairing", pairing,
+                    [0.5 * (abs(vb) ** 2 - abs(va) ** 2) for va, vb in zip(fa, fb)],
+                    _CHECK_TOL)
 
 
 @dataclass(frozen=True)
@@ -402,29 +442,39 @@ def numerical_range_sample(scaled: ScaledMatrix) -> RangeSample:
 
 def _identity_entry(examples, draws) -> dict:
     """Suite entry of one identity: the gaps of the example reports, the worst
-    gap over the random draws up to and including the first that fails (the
-    rest are never drawn), and passed when every report consumed passed."""
-    worst, passed = 0.0, all(r.passed for r in examples)
+    gap over the random draws, and passed when every report passed."""
+    worst = 0.0
     for rep in draws:
         worst = max(worst, rep.gap)
-        if not rep.passed:
-            passed = False
-            break
     return {"example_gaps": [r.gap for r in examples], "random_worst_gap": worst,
-            "passed": passed}
+            "passed": all(r.passed for r in (*examples, *draws))}
 
 
 def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
     """Run every check once with canonical inputs; JSON-ready summary dict.
 
-    Random polynomials are drawn lazily from one generator seeded with seed,
-    in a fixed order: positivity identity, derivative range, integral chain;
-    an identity stops drawing at its first failing draw."""
+    Random polynomials come from one generator seeded with seed, in a fixed
+    order: positivity identity, derivative range, integral chain. An
+    identity's draws are one standard_normal((samples, size)) call checked
+    as one stack, and the identity keeps the reports up to and including
+    its first failing draw j. The generator is then rewound to its state
+    before that call and j + 1 rows are drawn again, so the next identity
+    draws exactly what it would if the draws after j had never been made.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     out = {"seed": seed, "samples": samples}
     rng = np.random.default_rng(seed)
 
-    def polys(count, degree):
-        return (rng.standard_normal(degree + 1) for _ in range(count))
+    def draws(size, check):
+        state = rng.bit_generator.state
+        reports = check(rng.standard_normal((samples, size)))
+        used = next((j + 1 for j, rep in enumerate(reports) if not rep.passed),
+                    samples)
+        if used < samples:
+            rng.bit_generator.state = state
+            rng.standard_normal((used, size))
+        return reports[:used]
 
     examples = [
         check_positivity_identity(lambda x: np.ones_like(np.asarray(x, float)), (0.0, 1.0)),
@@ -432,9 +482,8 @@ def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
         check_positivity_identity(lambda x: np.exp(1j * np.asarray(x, float)),
                                   (0.0, 2.0 * math.pi), tol=1e-10),
     ]
-    out["positivity_identity"] = _identity_entry(examples, (
-        check_positivity_identity(lambda x: P.polyval(x, coeffs), (0.0, 1.0))
-        for coeffs in polys(samples, 8)))
+    out["positivity_identity"] = _identity_entry(examples, draws(
+        9, lambda coeffs: check_positivity_identity(_horner(coeffs), (0.0, 1.0))))
 
     norm = check_norm_bound(samples, (0.0, 2.0), seed=seed,
                             include=[[1.0], [0.0]])
@@ -450,15 +499,13 @@ def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
                                (0.0, 1.0)),
     ]
 
-    def derivative_draws():
-        for coeffs in polys(samples, 6):
-            # f = (x - a) * poly vanishes at the left endpoint by construction
-            fc = P.polymul([0.0, 1.0], coeffs)
-            fpc = P.polyder(fc)
-            yield check_derivative_range(lambda x: P.polyval(x, fc),
-                                         lambda x: P.polyval(x, fpc), (0.0, 1.0))
+    def derivative_check(coeffs):
+        # f = (x - a) * poly vanishes at the left endpoint by construction
+        fc = np.array([P.polymul([0.0, 1.0], c) for c in coeffs])
+        return check_derivative_range(_horner(fc), _horner(P.polyder(fc, axis=1)),
+                                      (0.0, 1.0))
 
-    out["derivative_range"] = _identity_entry(dr_examples, derivative_draws())
+    out["derivative_range"] = _identity_entry(dr_examples, draws(7, derivative_check))
 
     half = check_half_line_pairing(lambda y: np.exp(-np.asarray(y, float)))
     out["half_line_pairing"] = {
@@ -472,12 +519,12 @@ def verify_suite(samples: int = 100, seed: int = DEFAULT_SEED) -> dict:
 
     chain = check_integral_chain(lambda x: np.ones_like(np.asarray(x, float)),
                               None, (-1.0, 1.0))
-    draws = [check_integral_chain(lambda x: P.polyval(x, coeffs), None, (0.0, 2.0))
-             for coeffs in polys(4, 3)]
+    chain_draws = [check_integral_chain(_horner(coeffs), None, (0.0, 2.0))
+                   for coeffs in rng.standard_normal((4, 4))]
     out["integral_chain"] = {
         "flat_example": [chain.lhs, chain.mid, chain.rhs],
-        "random_rows": [(r.lhs, r.mid, r.rhs) for r in draws],
-        "passed": chain.passed and all(r.passed for r in draws)
+        "random_rows": [(r.lhs, r.mid, r.rhs) for r in chain_draws],
+        "passed": chain.passed and all(r.passed for r in chain_draws)
         and abs(chain.lhs - 2.0) <= 1e-9 and abs(chain.mid - 4.0) <= 1e-9
         and abs(chain.rhs - 8.0) <= 1e-9,
     }

@@ -7,7 +7,7 @@ from scipy.special import roots_jacobi
 
 from intop.basis import (_BASIS_MEMO_BYTES, ExtrapolationWarning, IntervalMap,
                          WeightFamily, barycentric_weights, build_basis, interpolate,
-                         lagrange_cardinal, legendre_coefficients)
+                         lagrange_cardinal)
 from intop.oracle import adaptive_integrate
 
 
@@ -127,22 +127,6 @@ def test_family_parse_and_labels():
         WeightFamily.parse("hermite")
     with pytest.raises(ValueError):
         WeightFamily.jacobi(-1.0, 0.0)
-
-
-def test_legendre_coefficient_recovery():
-    bas = build_basis(WeightFamily.legendre(), 8)
-    # f = P_0 + 0.25 P_3 on the nodes; coefficients come back in the
-    # orthonormalized convention c_k = a_k * sqrt(2/(2k+1))
-    from numpy.polynomial import legendre as L
-    vals = L.legval(bas.nodes, [1.0, 0.0, 0.0, 0.25])
-    coeffs, stop = legendre_coefficients(bas, vals)
-    expect = [math.sqrt(2.0), 0.0, 0.0, 0.25 * math.sqrt(2.0 / 7.0)]
-    np.testing.assert_allclose(coeffs[:4], expect, atol=1e-12)
-    assert np.all(np.abs(coeffs[4:]) < 1e-10)
-    assert stop == 1
-    with pytest.raises(ValueError):
-        legendre_coefficients(build_basis(WeightFamily.chebyshev_first(), 4),
-                              np.ones(4))
 
 
 def test_repeated_build_returns_the_memoized_read_only_rule():

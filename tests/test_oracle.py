@@ -375,3 +375,87 @@ def test_fixtures_thresholds_cover_measured():
         assert meas[key] < thr[key], key
     assert meas["lt_refinement_factor"] > thr["lt_min_refinement_factor"]
     assert meas["ode_chain_improvement"] > thr["ode_min_chain_improvement"]
+
+
+
+def _bits(outcome):
+    """An oracle outcome as comparable bit patterns (an OracleError text as
+    it is)."""
+    if isinstance(outcome, str):
+        return outcome
+    if isinstance(outcome, tuple):
+        return tuple(_bits(part) for part in outcome)
+    return np.ascontiguousarray(np.atleast_1d(outcome)).view(np.int64).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(0.25, 3.0), st.floats(-1.0, 1.0),
+       st.floats(0.0, 9.0), st.floats(0.05, 0.95), st.booleans(),
+       st.sampled_from([None, -0.25, 0.3]), st.sampled_from([None, -0.25, 0.5]),
+       st.lists(st.floats(-0.5, 3.0), min_size=0, max_size=12))
+def test_stacked_rows_match_each_row_alone_bit_for_bit(
+        a, span, c, k, root, stall, left, right, offsets):
+    # a smooth row, a kink that forces bisection, complex rows with -0.0
+    # real or imaginary parts and, when drawn, a pole that stalls at the
+    # depth cap: the stack raises the OracleError text of a failing row
+    # alone (the first in row order, unless the two halves of a both-ends
+    # run fail in different rows)
+    b = a + span
+    r = a + root * span
+
+    def parts(re, im):
+        out = np.empty(np.shape(re), dtype=complex)
+        out.real, out.imag = re, im
+        return out
+
+    rows = [lambda x: np.exp(c * x) * np.cos(k * x),
+            lambda x: np.abs(x - r),
+            lambda x: parts(-0.0 * (1.0 + x * x), np.cos(k * x)),
+            lambda x: parts(np.sin(x), -0.0 * (1.0 + x * x))]
+    if stall:
+        # off every dyadic abscissa, so the pole itself is never evaluated
+        rows.insert(2, lambda x: 1.0 / (x - r - math.pi * 1e-9))
+
+    def stack(x):
+        return np.array([row(x) for row in rows])
+
+    def alone(i):
+        # the row as the (complex) stack holds it
+        return lambda x: np.asarray(rows[i](x), dtype=complex)
+
+    pts = [a + t for t in offsets] + [b]
+    tol = 1e-10
+    runs = [
+        lambda f: adaptive_integrate(f, a, b, tol),
+        lambda f: adaptive_integrate(f, a, b, tol, left_exponent=left),
+        lambda f: adaptive_integrate(f, a, b, tol, right_exponent=right),
+        lambda f: adaptive_integrate(f, a, b, tol, left, right),
+        lambda f: running_integral(f, a, pts, tol, left_exponent=left),
+    ]
+    for run in runs:
+        got = _outcome(lambda: run(stack))
+        ref = [_outcome(lambda: run(alone(i))) for i in range(len(rows))]
+        failed = [o for o in ref if isinstance(o, str)]
+        if failed:
+            assert got == failed[0] or (run is runs[3] and got in failed)
+        elif isinstance(got, tuple):
+            assert [_bits((got[0][i], got[1][i])) for i in range(len(rows))] \
+                == [_bits(o) for o in ref]
+        else:
+            assert [_bits(row) for row in got] == [_bits(o) for o in ref]
+
+
+def test_a_row_that_converges_on_its_seed_sums_as_one_heap_per_gap():
+    # a seed-only row skips the heap: its gap values must still be what
+    # _fsum makes of a single panel, -0.0 turned into 0.0 in either part
+    def f(x):
+        out = np.empty(x.shape, dtype=complex)
+        out.real, out.imag = -0.0 * x, np.where(x < 0.5, -0.0, 1.0 + x)
+        return out
+
+    for run in (lambda: adaptive_integrate(f, 0.25, 2.0, 1e-12),
+                lambda: running_integral(f, 0.25, [0.3, 0.75, 2.0, 0.4], 1e-12),
+                lambda: running_integral(lambda x: -0.0 * x, 0.25, [0.5, 1.0], 1e-12)):
+        got = run()
+        with mock.patch.object(oracle, "_adaptive", _reference_adaptive):
+            assert _bits(got) == _bits(run())

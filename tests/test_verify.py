@@ -236,21 +236,28 @@ def test_verify_suite_small_run():
                 "numerical_range"):
         assert key in out, key
     assert out["seed"] == 123 and out["samples"] == 8
+    with pytest.raises(ValueError, match="need at least one sample"):
+        verify_suite(samples=0)
 
 
 def test_suite_stops_an_identity_at_its_first_failing_draw(monkeypatch):
     # the first three positivity calls are the suite's worked examples; the
-    # third random draw fails and ends that identity's draws
-    positivity, derivative = [], []
+    # random draws come as one stacked call, whose third row fails and ends
+    # that identity's draws: the suite keeps no row after it
+    positivity, derivative, seen = [], [], []
     real_derivative = intop.verify.check_derivative_range
 
     def fake_positivity(g, interval, tol=1e-9):
-        positivity.append(g(2.0))
-        gap = 0.5 if len(positivity) == 6 else 1e-3 * tol
-        return IdentityReport("re_cumulative_pairing", 1.0 + gap, 1.0, tol)
+        reports = []
+        for value in np.ravel(g(2.0)).tolist():
+            seen.append(value)
+            gap = 0.5 if len(seen) == 6 else 1e-3 * tol
+            reports.append(IdentityReport("re_cumulative_pairing", 1.0 + gap, 1.0, tol))
+        positivity[:] = seen[:6]
+        return tuple(reports) if np.ndim(g(2.0)) == 2 else reports[0]
 
     def recording_derivative(f, fprime, interval):
-        derivative.append(f(2.0))
+        derivative.extend(np.ravel(f(2.0)).tolist())
         return real_derivative(f, fprime, interval)
 
     monkeypatch.setattr(intop.verify, "check_positivity_identity", fake_positivity)
@@ -259,6 +266,7 @@ def test_suite_stops_an_identity_at_its_first_failing_draw(monkeypatch):
     entry = suite["positivity_identity"]
     assert entry["passed"] is False and suite["all_passed"] is False
     assert entry["random_worst_gap"] == 0.5
+    assert len(seen) == 3 + 5
     rng = np.random.default_rng(DEFAULT_SEED)
     assert positivity[3:] == [P.polyval(2.0, rng.standard_normal(9)) for _ in range(3)]
     # the five derivative draws continue the same generator after those three
@@ -267,3 +275,36 @@ def test_suite_stops_an_identity_at_its_first_failing_draw(monkeypatch):
     assert len(derivative) == 3 + 5
     assert [v for v in derivative if v in expected] == expected
     assert suite["derivative_range"]["passed"] is True
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=10),
+                min_size=1, max_size=4),
+       st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=8))
+def test_stacked_horner_matches_polyval_bit_for_bit(rows, xs):
+    # degrees 0 to 9; shorter rows are padded with zero high coefficients,
+    # as check_norm_bound pads its include rows
+    x = np.array(xs + [0.0, -0.0, -2.0, 2.0])
+    coeffs = np.zeros((len(rows), 10))
+    for c, row in zip(coeffs, rows):
+        c[:len(row)] = row
+    stacked = intop.verify._horner(coeffs)(x)
+    for got, row in zip(stacked, rows):
+        assert _bits(got) == _bits(P.polyval(x, row))
+        assert _bits(intop.verify._horner(row)(x)) == _bits(P.polyval(x, row))
+        assert _bits(intop.verify._horner(row)(0.5)) == _bits(P.polyval(0.5, row))
+
+
+@pytest.mark.parametrize("k, d", [(1, 9), (5, 9), (100, 7), (4, 4)])
+def test_one_stacked_draw_is_the_rows_drawn_one_by_one(k, d):
+    # verify_suite draws an identity's rows in one call and, after a failing
+    # draw, rewinds and redraws fewer; both rely on this equality
+    one, rows = np.random.default_rng(DEFAULT_SEED), np.random.default_rng(DEFAULT_SEED)
+    stacked = one.standard_normal((k, d))
+    for row in stacked:
+        assert _bits(row) == _bits(rows.standard_normal(d))
+    assert one.bit_generator.state == rows.bit_generator.state
