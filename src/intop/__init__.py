@@ -28,8 +28,7 @@ from .verify import (ChainReport, ConjectureReport, HalfLineReport,
                      check_positivity_identity, check_half_line_pairing,
                      check_integral_chain, conjecture_scan,
                      numerical_range_sample, verify_suite)
-from .wiener_hopf import (WienerHopfProblem, WienerHopfResult, exp_kernel_demo,
-                          truncated_exp_kernel_symbols)
+from .wiener_hopf import WienerHopfResult, exp_kernel_demo
 from .wiener_hopf import solve as wiener_hopf_solve
 
 __version__ = "0.1.0"

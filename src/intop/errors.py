@@ -29,7 +29,9 @@ class IllConditionedError(NumericalError):
 
 
 class PoleEvaluationError(NumericalError):
-    """A scalar symbol evaluated to a non-finite value at an eigenvalue."""
+    """A scalar symbol has a pole at an eigenvalue: it evaluated to a
+    non-finite value there, or the matrix I +- C that applies a rational
+    symbol by a solve is singular to working precision."""
 
 
 class NonContractionError(NumericalError):

@@ -62,8 +62,9 @@ _SPECTRUM_ARGS = {("fourier", "+"): (1j, ("upper", "entire")),
 _MATRIX_MEMO_BYTES = 512 * 1024
 # Bytes of spectral data held for repeated requests: an n x n scaled matrix
 # costs 32 n^2 + 16 n bytes (eigenvectors, inverse, eigenvalues). One deck of
-# the Legendre pipelines at n = 5..20 on their default intervals asks for 75
-# distinct matrices, 312 KB, and repeats every one of them in the next deck.
+# the Legendre pipelines at n = 5..20 on their default intervals asks for 32
+# distinct matrices, 136 KB (lt-invert, control and eigs; ft-invert and
+# wiener-hopf solve instead), and repeats every one of them in the next deck.
 _EIGEN_MEMO_BYTES = 512 * 1024
 
 

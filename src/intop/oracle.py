@@ -85,7 +85,9 @@ def _fsum(vals):
     """Correctly rounded sum of Python (or numpy) scalars, complex if any is."""
     value = math.fsum([v.real for v in vals])
     if any(isinstance(v, complex) for v in vals):
-        value = value + 1j * math.fsum([v.imag for v in vals])
+        # built from its parts: value + 1j * imag would turn an infinite
+        # imaginary part into a NaN real part (0 * inf)
+        value = complex(value, math.fsum([v.imag for v in vals]))
     return value
 
 
@@ -182,7 +184,6 @@ def _adaptive(f, edges, tol: float, pointwise: bool = False):
         total_err = math.fsum(errs)
         if total_err <= max(tol, _ROUNDOFF * math.fsum(mags)):
             # one panel per gap: _fsum([v]) is v + 0.0 (so -0.0 becomes 0.0)
-            # unless an imaginary part is not finite
             parts = [0.0] * n_gaps
             for gap, v in zip(gap_list, vals):
                 parts[gap] = v + 0.0 if isinstance(v, float) else _fsum([v])

@@ -145,6 +145,16 @@ def test_numerical_failure_exits_two(tmp_path, capsys, argv):
     assert "numerical failure" in captured.err
 
 
+@pytest.mark.parametrize("command", ["ft-invert", "wiener-hopf"])
+@pytest.mark.parametrize("n", [16, 20, 40, 60])
+def test_rational_demos_run_past_the_eigen_limit(capsys, command, n):
+    # both demos solve with I + C or I - C, so no eigenvector basis is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--n", str(n), "--format", "json"]) == 0
+    assert _finite_artifact(capsys.readouterr().out, "json")
+
+
 @pytest.mark.parametrize("spaced, code", [
     (["ode", "--a", "-1e300", "--b", "0"], 2),
     (["ode", "--a", "-1e-5", "--b", "0"], 0),

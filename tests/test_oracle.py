@@ -445,6 +445,15 @@ def test_stacked_rows_match_each_row_alone_bit_for_bit(
             assert [_bits(row) for row in got] == [_bits(o) for o in ref]
 
 
+@pytest.mark.parametrize("imag", [math.inf, -math.inf, math.nan])
+def test_fsum_keeps_the_real_part_of_a_non_finite_imaginary_part(imag):
+    # 1j * inf has a NaN real part (0 * inf), so the sum is built from parts
+    for vals in ([complex(1.5, imag)], [complex(1.0, imag), 0.5, complex(0.0, 2.0)]):
+        got = oracle._fsum(vals)
+        assert got.real == 1.5
+        assert got.imag == imag or (math.isnan(imag) and math.isnan(got.imag))
+
+
 def test_a_row_that_converges_on_its_seed_sums_as_one_heap_per_gap():
     # a seed-only row skips the heap: its gap values must still be what
     # _fsum makes of a single panel, -0.0 turned into 0.0 in either part

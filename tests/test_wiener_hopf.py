@@ -1,17 +1,23 @@
+import contextlib
+import io
 import math
+import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
+from discrete_exact import wiener_hopf_nodes
 from intop.basis import IntervalMap, WeightFamily, build_basis
+from intop.cli import main
+from intop.errors import PoleEvaluationError
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
-                          eigen_factorize, scale)
+                          eigen_factorize, matrix_function, scale,
+                          symbol_on_spectrum)
 from intop.oracle import adaptive_integrate, load_fixtures
-from intop.wiener_hopf import (WienerHopfProblem, _expm1_over, exp_kernel_demo,
-                               solve, truncated_exp_kernel_symbols)
+from intop.wiener_hopf import _exp_kernel_half, exp_kernel_demo, solve
 
 THRESH = load_fixtures()["thresholds"]
+EPS = np.finfo(np.float64).eps
 
 
 def exact_solution(t):
@@ -23,55 +29,9 @@ def demand(t):
 
 
 def make_pair(n, a=0.0, b=1.0):
-    bas = build_basis(WeightFamily.legendre(), n)
-    mats = build_integration_matrices(bas)
+    mats = build_integration_matrices(build_basis(WeightFamily.legendre(), n))
     imap = IntervalMap(a, b)
-    return (eigen_factorize(scale(mats, "+", imap)),
-            eigen_factorize(scale(mats, "-", imap)))
-
-
-def test_symbols_match_their_defining_integrals():
-    # k(t) = -e^{-t} split at the fold: plus transform integrates t in (0, 2),
-    # minus transform t in (-2, 0); both must match brute quadrature.
-    plus, minus = truncated_exp_kernel_symbols()
-    assert plus.region in ("upper", "entire")
-    assert minus.region in ("lower", "entire")
-    for y in (0.0, 0.7, -1.3, 2.3):
-        ref_p, _ = adaptive_integrate(
-            lambda t: -np.exp(1j * y * t) * np.exp(-t), 0.0, 60.0, tol=1e-13)
-        assert abs(plus(y) - ref_p) < 1e-12, y
-        ref_m, _ = adaptive_integrate(
-            lambda t: -np.exp(1j * y * t) * np.exp(-t), -2.0, 0.0, tol=1e-13)
-        assert abs(minus(y) - ref_m) < 1e-11, y
-
-
-def test_expm1_over_keeps_its_digits_near_zero():
-    # (e^{2z} - 1)/z against 40 digits on |z| in [1e-12, 3]. The real part of
-    # complex expm1 cancels by at most a factor 3 on this disc, so a few
-    # roundings stay below 8 eps.
-    radii = np.geomspace(1e-12, 3.0, 200)
-    angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-    z = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    worst = 0.0
-    with mpmath.workdps(40):
-        for zi, got in zip(z, _expm1_over(z)):
-            w = mpmath.mpc(zi.real, zi.imag)
-            ref = mpmath.expm1(2 * w) / w
-            worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)))
-    assert worst <= 8 * np.finfo(np.float64).eps
-    # the removable point is reached: wiener-hopf at n = 1 on (0, 2) has C = 1
-    assert _expm1_over(np.array([0.0])) == 2.0
-
-
-def test_diagonal_values_have_closed_forms():
-    # evaluations the solver actually uses: plus at i/lam, minus at -i/lam
-    plus, minus = truncated_exp_kernel_symbols()
-    for lam in (0.31 + 0.17j, 0.5, 0.08 - 0.2j):
-        u = -(1.0 + 1.0 / lam)
-        assert abs(plus(1j / lam) - 1.0 / u) < 1e-12
-        v = -(1.0 - 1.0 / lam)
-        w = np.exp(-v) * np.sinh(v) / v
-        assert abs(minus(-1j / lam) - (-2.0 * w)) < 1e-12
+    return scale(mats, "+", imap), scale(mats, "-", imap)
 
 
 def test_exact_solution_satisfies_continuous_equation():
@@ -98,8 +58,8 @@ def test_demo_against_exact_solution():
 
 
 def test_imag_residue_survives_large_solutions():
-    # on (0, 25) the solution reaches ~1e240, so its sum of squares would
-    # overflow; every value is finite and the residue stays at roundoff
+    # on (0, 25) the solution reaches ~1e240; every value is finite, and the
+    # real solve reports no imaginary residue
     rep = exp_kernel_demo(5, b=25.0)
     assert np.all(np.isfinite(rep.coarse_computed))
     assert rep.metadata["imag_residue"] < 1e-12
@@ -111,48 +71,73 @@ def test_solver_accuracy_improves_with_n():
     assert fine < coarse
 
 
+@pytest.mark.parametrize("n", [11, 16, 20, 40, 60])
+def test_exact_kernel_reaches_rounding(n):
+    # the exact halves leave only the collocation error, which is below
+    # rounding from n = 11
+    assert exp_kernel_demo(n).max_coarse_error <= 1e-14
+
+
+@pytest.mark.parametrize("n", [5, 11, 15, 20])
+def test_demo_matches_the_discrete_exact_section(n):
+    # the same double C+, C- and g solved in 40 digits; c = 2 in c n eps |f|
+    # (measured: at most 0.19 n eps |f| for these n)
+    plus, minus = make_pair(n)
+    ref = wiener_hopf_nodes(plus.C, minus.C, demand(plus.xi))
+    got = exp_kernel_demo(n).coarse_computed
+    assert np.abs(got - ref).max() <= 2 * n * EPS * np.abs(ref).max()
+
+
 def test_direct_solve_path():
-    plus, minus = truncated_exp_kernel_symbols()
-    eig_p, eig_m = make_pair(7)
-    problem = WienerHopfProblem(plus, minus, demand)
-    result = solve(problem, eig_p, eig_m)
-    assert result.residual < (THRESH["wh_residual_rel"]
-                              * np.abs(demand(eig_p.scaled.xi)).max())
+    # K+ through the eigen route, the way a kernel with no rational transform
+    # enters, agrees with its solve; the mixed section solves the demo
+    plus, minus = make_pair(7)
+    eig = eigen_factorize(plus)
+    khat = ScalarSymbol(lambda y: -1.0 / (1.0 - 1j * np.asarray(y)), "upper")
+    k_plus = matrix_function(eig, symbol_on_spectrum(eig, khat, "fourier"))
+    np.testing.assert_allclose(k_plus, _exp_kernel_half(plus), atol=1e-12)
+    g = demand(plus.xi)
+    result = solve(k_plus, _exp_kernel_half(minus), g)
+    assert result.residual < THRESH["wh_residual_rel"] * np.abs(g).max()
     assert result.sigma_min > 1e-3 * result.sigma_max
-    err = np.abs(result.values - exact_solution(eig_p.scaled.xi)).max()
-    assert err < 1e-3
+    assert result.imag_residue < 1e-12
+    assert np.abs(result.values - exact_solution(plus.xi)).max() < 1e-8
 
 
 def test_rank_deficient_system_flags_nonunique():
-    eig_p, eig_m = make_pair(5)
-    # a plus symbol equal to 1 at exactly one eigenvalue argument kills one
-    # direction of I - K+ while the rest stay order one
-    lam0 = eig_p.values[0]
-    probe = ScalarSymbol(lambda y: (1j / np.asarray(y)) / lam0, "entire")
-    zero = ScalarSymbol(lambda y: np.zeros_like(np.asarray(y, dtype=complex)),
-                        "entire")
-    problem = WienerHopfProblem(probe, zero, lambda t: np.zeros_like(t))
-    result = solve(problem, eig_p, eig_m)
+    # K+ = u u^T kills the direction u of I - K+ while the rest stay one
+    u = np.ones(5) / math.sqrt(5.0)
+    result = solve(np.outer(u, u), np.zeros((5, 5)), np.zeros(5))
     assert result.sigma_max > 0.1
     assert result.nonunique
     assert result.residual < 1e-10
 
 
-def test_side_and_region_validation():
-    plus, minus = truncated_exp_kernel_symbols()
-    eig_p, eig_m = make_pair(4)
-    lower_only = ScalarSymbol(lambda y: np.zeros_like(np.asarray(y,
-                                                      dtype=complex)),
-                              "lower")
-    upper_only = ScalarSymbol(lambda y: np.zeros_like(np.asarray(y,
-                                                      dtype=complex)),
-                              "upper")
-    with pytest.raises(ValueError):
-        solve(WienerHopfProblem(plus, minus, demand), eig_m, eig_p)
-    with pytest.raises(ValueError):
-        solve(WienerHopfProblem(lower_only, minus, demand), eig_p, eig_m)
-    with pytest.raises(ValueError):
-        solve(WienerHopfProblem(plus, upper_only, demand), eig_p, eig_m)
-    _, other_m = make_pair(4, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        solve(WienerHopfProblem(plus, minus, demand), eig_p, other_m)
+def test_shape_validation():
+    k, g = np.zeros((4, 4)), np.zeros(4)
+    for args in ((np.zeros((3, 3)), k, g), (k, np.zeros((4, 3)), g),
+                 (k, k, np.zeros(5)), (k, k, np.zeros((4, 1)))):
+        with pytest.raises(ValueError):
+            solve(*args)
+
+
+def test_pole_of_the_left_branch_exits_two():
+    # K- = -(I - C-)^{-1} C- has a pole where C- = (b/2) A- has the
+    # eigenvalue 1: at n = 5, b = 2/lam_r for the real eigenvalue lam_r of
+    # A- (about 0.27422). The solve there would give finite values far off.
+    plus, minus = make_pair(5)
+    lam = np.linalg.eigvals(minus.source.minus)
+    b = 2.0 / float(lam[np.argmin(np.abs(lam.imag))].real)
+    with pytest.raises(PoleEvaluationError):
+        _exp_kernel_half(make_pair(5, b=b)[1])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["wiener-hopf", f"--b={b!r}"])
+    assert code == 2
+    assert err.getvalue().startswith("intop: numerical failure: kernel transform has a pole")
+    assert out.getvalue() == ""
+    # at n = 1 on (0, 2), C- is 1 to within an ulp: I - C- is rounding alone
+    with pytest.raises(PoleEvaluationError):
+        _exp_kernel_half(make_pair(1, b=2.0)[1])

@@ -43,16 +43,17 @@ def grid() -> list[list[str]]:
     """matrices at n = 1, 5, 16 and for each family kind at n = 5, 60 and
     200 (past every other request, where a change of node solver would
     first move bits);
-    eigs and the five demos at n = 1, 5, 11, 15, 16 (the applies refuse the
-    eigenvector basis at n = 16, while eigs reports its spectrum) and once on
-    a non-default interval; control with non-default alpha and beta, and
-    with alpha = 0 at n = 5 and 16 (refused before any numerics, so exit 1
-    even where the apply would refuse); ode at n = 40; eigs at n = 60; a
-    NaN drive rate and intervals too long for the ode and wiener-hopf demos;
-    drives and exact solutions that overflow; negative values in exponent
-    notation given after a space; the scan and the suite; both formats
-    throughout; and the suite as the verify benchmark calls it, with 100
-    samples."""
+    eigs and the five demos at n = 1, 5, 11, 15, 16 (the applies of
+    lt-invert and control refuse the eigenvector basis at n = 16, while eigs
+    reports its spectrum) and once on a non-default interval; ft-invert and
+    wiener-hopf, which solve with I + C and I - C, also at n = 20, 40 and 60;
+    control with non-default alpha and beta, and with alpha = 0 at n = 5 and
+    16 (refused before any numerics, so exit 1 even where the apply would
+    refuse); ode at n = 40; eigs at n = 60; a NaN drive rate and intervals
+    too long for the ode and wiener-hopf demos; drives and exact solutions
+    that overflow; negative values in exponent notation given after a space;
+    the scan and the suite; both formats throughout; and the suite as the
+    verify benchmark calls it, with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
     requests += [[cmd, "--n", str(n), *f] for cmd in ("eigs", *DEMOS)
@@ -65,6 +66,9 @@ def grid() -> list[list[str]]:
     # alpha = 0 is refused before any numerics: exit 1 at n = 5 and at
     # n = 16, where the apply would be refused (exit 2)
     requests += [["control", "--n", n, "--alpha", "0"] for n in ("5", "16")]
+    # the rational demos past the eigen route's limit
+    requests += [[cmd, "--n", str(n), *f] for cmd in ("ft-invert", "wiener-hopf")
+                 for n in (20, 40, 60) for f in fmts]
     # ode at n = 40: Hermite refinement of degree 79 stays at rounding level
     requests += [["ode", "--n", "40", *f] for f in fmts]
     # eigs at n = 60: the spectrum of a basis far past the condition limit
