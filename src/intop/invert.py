@@ -61,16 +61,15 @@ def _demo_scaffold(n: int, a: float, b: float):
 
 def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                  b: float = 4.0) -> SolveReport:
-    """Recover e^{-t} on (0, b) from its transform 1/(1 - iy).
+    """Recover e^{-(t-a)} on (a, b) from its transform 1/(1 - iy).
 
     The transform is rational: at i/lam it is lam/(1 + lam), so
     f = (1/C) T(i/C) 1 = (I + C)^{-1} 1, one solve. The exact columns are
-    evaluated first, so an overflow is refused before the solve.
+    evaluated first, so a non-finite one is refused before the solve.
     """
     imap, bas, scaled = _demo_scaffold(n, a, b)
     fine = np.linspace(a, b, fine_points)
-    with np.errstate(all="ignore"):  # e^{-t} overflows below t ~ -709.8
-        exact, fine_exact = np.exp(-scaled.xi), np.exp(-fine)
+    exact, fine_exact = np.exp(a - scaled.xi), np.exp(a - fine)
     if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(fine_exact))):
         raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
     computed = np.linalg.solve(np.eye(n) + scaled.C, np.ones(n))
@@ -81,8 +80,9 @@ def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
 
 def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                  b: float = 2.0) -> SolveReport:
-    """Recover sin(pi t)/(pi t) on (0, b) from arctan(pi/s)/pi, which is
-    1/2 - arctan(s/pi)/pi on Re s > 0 without its cancellation at |s| ~ 1/b."""
+    """Recover sinc(t - a) = sin(pi (t-a))/(pi (t-a)) on (a, b) from
+    arctan(pi/s)/pi, which is 1/2 - arctan(s/pi)/pi on Re s > 0 without its
+    cancellation at |s| ~ 1/(b - a)."""
     imap, bas, scaled = _demo_scaffold(n, a, b)
     eig = eigen_factorize(scaled)
     symbol = ScalarSymbol(
@@ -91,6 +91,6 @@ def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     computed = laplace_invert(symbol, eig)
     fine = np.linspace(a, b, fine_points)
     meta = {"transform": "arctan(pi/s)/pi", "exact_kind": "closed_form"}
-    return SolveReport("lt_invert", n, a, b, eig.scaled.xi, np.sinc(eig.scaled.xi),
-                       computed, fine, np.sinc(fine),
+    return SolveReport("lt_invert", n, a, b, eig.scaled.xi, np.sinc(eig.scaled.xi - a),
+                       computed, fine, np.sinc(fine - a),
                        interpolate(bas, imap, computed, fine), meta)

@@ -105,15 +105,20 @@ def _demo_g(t):
     return 2.0 * math.exp(-0.5) * t * np.exp(t * t - t)
 
 
-def _demo_exact(t):
+def _demo_exact(t, a, b):
+    # f = g - c e^{-t} solves f + int_a^b e^{s-t} f(s) ds = g when
+    # c (1 + b - a) = int_a^b e^s g(s) ds = e^{-1/2} (e^{b^2} - e^{a^2})
     t = np.asarray(t, dtype=np.float64)
-    return _demo_g(t) - math.sinh(0.5) * np.exp(-t)
+    c = math.exp(-0.5) * (np.exp(b * b) - np.exp(a * a)) / (1.0 + b - a)
+    return _demo_g(t) - c * np.exp(-t)
 
 
 def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                     b: float = 1.0) -> SolveReport:
-    """The solvable benchmark: k(s) = -e^{-s} for every s, and g chosen so
-    that f(t) = g(t) - sinh(1/2) e^{-t}.
+    """The solvable benchmark: k(s) = -e^{-s} for every s and
+    g(t) = 2 e^{-1/2} t e^{t^2 - t}, so that f(t) = g(t) - c e^{-t} with
+    c = e^{-1/2} (e^{b^2} - e^{a^2}) / (1 + b - a), which is sinh(1/2) on
+    (0, 1).
 
     g and the exact columns are evaluated first, so an overflow is refused
     before the solves. The metadata's alt_sign_error is the error of the
@@ -127,11 +132,11 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     xi = plus.xi
     fine = np.linspace(a, b, fine_points)
     with np.errstate(all="ignore"):  # e^{t^2 - t} overflows past t ~ 27.2
-        g, fine_exact = _demo_g(xi), _demo_exact(fine)
+        g, exact, fine_exact = _demo_g(xi), _demo_exact(xi, a, b), _demo_exact(fine, a, b)
     if not np.all(np.isfinite(g)):
         raise NumericalError("right-hand side is not finite at the nodes")
-    if not np.all(np.isfinite(fine_exact)):
-        raise NumericalError("exact solution is not finite on the fine mesh")
+    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(fine_exact))):
+        raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
     k_plus, k_minus = _exp_kernel_half(plus), _exp_kernel_half(minus)
     result = solve(k_plus, k_minus, g)
     alt = np.linalg.lstsq(np.eye(n) - k_plus + k_minus, g, rcond=None)[0]
@@ -140,7 +145,7 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
             "nonunique": result.nonunique,
             "sigma_min": result.sigma_min, "sigma_max": result.sigma_max,
             "imag_residue": result.imag_residue,
-            "alt_sign_error": float(np.abs(alt - _demo_exact(xi)).max())}
-    return SolveReport("wiener_hopf", n, a, b, xi, _demo_exact(xi), result.values,
+            "alt_sign_error": float(np.abs(alt - exact).max())}
+    return SolveReport("wiener_hopf", n, a, b, xi, exact, result.values,
                        fine, fine_exact,
                        interpolate(bas, imap, result.values, fine), meta)

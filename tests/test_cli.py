@@ -136,13 +136,21 @@ def test_usage_errors_exit_one(capsys):
     ["control", "--beta=-400", "--alpha", "50"],
     ["control", "--alpha", "1e300", "--beta=-400"],
     ["control", "--a=-1e300", "--b=-1e299"],
-    ["ft-invert", "--a=-1e300", "--b=-1e299"],
 ])
 def test_numerical_failure_exits_two(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "never.csv")])
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical failure" in captured.err
+
+
+def test_fourier_demo_far_from_the_origin_exits_zero(capsys):
+    # the exact solution e^{-(t - a)} stays in (0, 1] on any (a, b), so an
+    # interval far left of the origin runs like any other
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["ft-invert", "--a=-1e300", "--b=-1e299", "--format", "json"]) == 0
+    assert _finite_artifact(capsys.readouterr().out, "json")
 
 
 @pytest.mark.parametrize("command", ["ft-invert", "wiener-hopf"])

@@ -91,6 +91,19 @@ def test_laplace_demo_keeps_its_digits_on_short_intervals(b):
     assert rep.max_fine_error < 1e-12
 
 
+@pytest.mark.parametrize("demo, length", [(fourier_demo, 4.0), (laplace_demo, 2.0)])
+@pytest.mark.parametrize("shift", [1.0, -0.5, 7.25])
+@pytest.mark.parametrize("n", [5, 11])
+def test_demos_are_translation_invariant(demo, length, shift, n):
+    # both demos recover a function of t - a, and C depends only on b - a,
+    # so the error on (a, a + L) is the error on (0, L)
+    base = demo(n, a=0.0, b=length)
+    moved = demo(n, a=shift, b=shift + length)
+    np.testing.assert_array_equal(moved.coarse_computed, base.coarse_computed)
+    assert abs(moved.max_coarse_error - base.max_coarse_error) <= 1e-12
+    assert abs(moved.max_fine_error - base.max_fine_error) <= 1e-12
+
+
 def test_laplace_collapse_on_monomials():
     # F(s) = s^{-k} makes the transform argument collapse to powers of C,
     # so node values of xi^{k-1}/(k-1)! come out to rounding error.

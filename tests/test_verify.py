@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from intop.verify import (DEFAULT_SEED, IdentityReport, check_derivative_range,
                           check_half_line_pairing, check_integral_chain,
                           check_norm_bound, check_positivity_identity,
                           conjecture_scan, numerical_range_sample, verify_suite)
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_positivity_identity_complex_sample():
@@ -83,6 +86,48 @@ def test_half_line_pairing_linear_weighted():
     assert rep.converged
     assert rep.re_target == pytest.approx(-3.0 * math.pi / 8.0, abs=1e-12)
     assert rep.im_target == pytest.approx(0.5, abs=1e-12)
+
+
+def _pairing_grid(f):
+    mid, offset, weights = intop.verify._half_line_grid()
+    y = mid[:, None] + offset[None, :]
+    wf = weights * f(y)
+    return mid, offset, y, wf, y * wf
+
+
+def test_factored_phase_matches_a_40_digit_sum():
+    # F = sum e^{ixy} w f and G = sum e^{ixy} y w f over the exact points
+    # y = m_k + o_j of the double grid, summed in 40 digits; c = 2 in
+    # c eps sum|wf| and c eps sum|y wf| (measured: at most 0.80 for F and
+    # 0.77 for G; the direct exp(1j x fl(y)) @ wf reaches 1.7 to 3.0,
+    # depending on how the product sums)
+    mid, offset, y, wf, ywf = _pairing_grid(lambda y: np.exp(-y))
+    xs = np.array([0.1, 0.5, 1.0, 2.0, 3.7, 5.0, 7.25, 10.0, 13.3, 16.0])
+    got = intop.verify._phase_sums(xs, mid, offset, np.hstack([wf, ywf]))
+    with mpmath.workdps(40):
+        points = [mpmath.mpf(float(m)) + float(o) for m in mid for o in offset]
+        for x, (F, G) in zip(xs, got):
+            phases = [mpmath.expj(float(x) * p) for p in points]
+            ref_F = mpmath.fsum(e * w for e, w in zip(phases, wf.ravel().tolist()))
+            ref_G = mpmath.fsum(e * w for e, w in zip(phases, ywf.ravel().tolist()))
+            assert abs(mpmath.mpc(F) - ref_F) <= 2 * EPS * np.abs(wf).sum(), x
+            assert abs(mpmath.mpc(G) - ref_G) <= 2 * EPS * np.abs(ywf).sum(), x
+
+
+@given(st.lists(st.floats(0.0, 16.0), min_size=1, max_size=21),
+       st.sampled_from([lambda y: np.exp(-y), lambda y: y * np.exp(-y)]))
+def test_factored_phase_matches_the_direct_phase(xs, f):
+    # the direct form rounds x y and y itself, an error up to about
+    # x |y| eps per term; c = 16 in c eps (sum|wf| + x sum|y wf|) (measured:
+    # at most 8.7 over 80,000 x in [0, 16] and four integrands)
+    mid, offset, y, wf, ywf = _pairing_grid(f)
+    x = np.array(xs)
+    got = intop.verify._phase_sums(x, mid, offset, np.hstack([wf, ywf]))
+    direct = np.exp(1j * x[:, None] * y.ravel()[None, :]) @ np.stack(
+        [wf.ravel(), ywf.ravel()], axis=1)
+    for col, (m0, m1) in enumerate([(wf, ywf), (ywf, y * ywf)]):
+        bound = 16 * EPS * (np.abs(m0).sum() + x * np.abs(m1).sum())
+        assert np.all(np.abs(got[:, col] - direct[:, col]) <= bound)
 
 
 def test_integral_chain_flat_example():

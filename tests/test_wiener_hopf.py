@@ -44,6 +44,21 @@ def test_exact_solution_satisfies_continuous_equation():
         assert abs(residual) < 1e-10, x
 
 
+def test_exact_solution_on_a_shifted_interval():
+    # on (a, b) the solution is g - c e^{-t} with
+    # c = e^{-1/2} (e^{b^2} - e^{a^2}) / (1 + b - a): the demo's exact column
+    # satisfies the equation there, and the demo reaches it at n = 20
+    a, b = -0.5, 0.5
+    c = math.exp(-0.5) * (math.exp(b * b) - math.exp(a * a)) / (1.0 + b - a)
+    rep = exp_kernel_demo(20, a=a, b=b)
+    for x, exact in zip(rep.coarse_t[::4], rep.coarse_exact[::4]):
+        conv, _ = adaptive_integrate(
+            lambda t: -np.exp(-(x - t)) * (demand(t) - c * np.exp(-t)), a, b,
+            tol=1e-13)
+        assert abs(exact - conv - demand(x)) < 1e-10, x
+    assert rep.max_coarse_error <= 1e-14
+
+
 def test_demo_against_exact_solution():
     rep = exp_kernel_demo(5)
     assert rep.pipeline == "wiener_hopf"

@@ -51,7 +51,9 @@ def grid() -> list[list[str]]:
     16 (refused before any numerics, so exit 1 even where the apply would
     refuse); ode at n = 40; eigs at n = 60; a NaN drive rate and intervals
     too long for the ode and wiener-hopf demos; drives and exact solutions
-    that overflow; negative values in exponent notation given after a space;
+    that overflow, and ft-invert far from the origin, whose exact solution
+    e^(-(t - a)) does not (exit 0); negative values in exponent notation
+    given after a space;
     the scan and the suite; both formats throughout; and the suite as the
     verify benchmark calls it, with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
@@ -76,7 +78,9 @@ def grid() -> list[list[str]]:
     # refused inputs: a NaN rate (exit 1) and overflowing intervals (exit 2)
     requests += [["control", "--beta", "nan"], ["ode", "--b", "1e300"],
                  ["wiener-hopf", "--b", "30"]]
-    # finite inputs whose drive e^(-beta t) or exact e^(-t) overflows (exit 2)
+    # finite inputs whose drive e^(-beta t) or exact e^(-t) overflows (exit 2),
+    # and the same interval for ft-invert, whose exact e^(-(t - a)) does not
+    # (exit 0)
     requests += [["control", "--beta=-400", "--alpha", alpha]
                  for alpha in ("1e-300", "1e-8", "50")]
     requests += [["control", "--alpha", "1e300", "--beta=-400"],
