@@ -143,11 +143,12 @@ class IntervalMap:
 
     def forward(self, y):
         """Reference coordinate to physical coordinate."""
-        return 0.5 * (self.a + self.b) + np.asarray(y) * self.half_length
+        # the halves are summed: a + b overflows where b - a may not
+        return (0.5 * self.a + 0.5 * self.b) + np.asarray(y) * self.half_length
 
     def inverse(self, t):
         """Physical coordinate to reference coordinate."""
-        return (np.asarray(t) - 0.5 * (self.a + self.b)) / self.half_length
+        return (np.asarray(t) - (0.5 * self.a + 0.5 * self.b)) / self.half_length
 
 
 def recurrence_coefficients(family: WeightFamily, m: int):

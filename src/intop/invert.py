@@ -82,15 +82,19 @@ def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                  b: float = 2.0) -> SolveReport:
     """Recover sinc(t - a) = sin(pi (t-a))/(pi (t-a)) on (a, b) from
     arctan(pi/s)/pi, which is 1/2 - arctan(s/pi)/pi on Re s > 0 without its
-    cancellation at |s| ~ 1/(b - a)."""
+    cancellation at |s| ~ 1/(b - a). The exact columns are evaluated first,
+    so a non-finite one is refused before the factorization."""
     imap, bas, scaled = _demo_scaffold(n, a, b)
+    fine = np.linspace(a, b, fine_points)
+    with np.errstate(all="ignore"):  # pi (t - a) overflows past t - a ~ 5.7e307
+        exact, fine_exact = np.sinc(scaled.xi - a), np.sinc(fine - a)
+    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(fine_exact))):
+        raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
     eig = eigen_factorize(scaled)
     symbol = ScalarSymbol(
         lambda s: np.arctan(np.pi / np.asarray(s, dtype=np.complex128)) / np.pi,
         "right")
     computed = laplace_invert(symbol, eig)
-    fine = np.linspace(a, b, fine_points)
     meta = {"transform": "arctan(pi/s)/pi", "exact_kind": "closed_form"}
-    return SolveReport("lt_invert", n, a, b, eig.scaled.xi, np.sinc(eig.scaled.xi - a),
-                       computed, fine, np.sinc(fine - a),
-                       interpolate(bas, imap, computed, fine), meta)
+    return SolveReport("lt_invert", n, a, b, scaled.xi, exact, computed, fine,
+                       fine_exact, interpolate(bas, imap, computed, fine), meta)

@@ -116,6 +116,18 @@ def test_interval_map_roundtrip():
         IntervalMap(1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(1e308, 1.7e308), (-1.7e308, -1e308)])
+def test_interval_map_midpoint_does_not_overflow(a, b):
+    # a + b overflows, b - a does not: the ends and midpoint stay finite
+    imap = IntervalMap(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ends = imap.forward(np.array([-1.0, 0.0, 1.0]))
+        back = imap.inverse(ends)
+    np.testing.assert_allclose(ends, [a, 0.5 * a + 0.5 * b, b], rtol=1e-15)
+    np.testing.assert_allclose(back, [-1.0, 0.0, 1.0], atol=1e-15)
+
+
 def test_family_parse_and_labels():
     assert WeightFamily.parse("legendre").label == "legendre"
     assert WeightFamily.parse("chebyshev1").label == "chebyshev1"

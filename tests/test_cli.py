@@ -153,6 +153,25 @@ def test_fourier_demo_far_from_the_origin_exits_zero(capsys):
     assert _finite_artifact(capsys.readouterr().out, "json")
 
 
+@pytest.mark.parametrize("argv, code", [
+    # a + b overflows, so the midpoint sums the halves
+    (["ft-invert", "--a=1e308", "--b=1.7e308"], 0),
+    (["ft-invert", "--a=-1.7e308", "--b=-1e308"], 0),
+    (["control", "--a=1e308", "--b=1.7e308"], 0),
+    # pi (t - a) overflows in the exact sinc columns, which are refused
+    (["lt-invert", "--b", "1e308"], 2),
+])
+def test_intervals_near_the_largest_double(capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--format", "json"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert _finite_artifact(out, "json")
+    else:
+        assert err.startswith("intop: numerical failure:")
+
+
 @pytest.mark.parametrize("command", ["ft-invert", "wiener-hopf"])
 @pytest.mark.parametrize("n", [16, 20, 40, 60])
 def test_rational_demos_run_past_the_eigen_limit(capsys, command, n):
@@ -299,7 +318,7 @@ def _finite_artifact(text: str, fmt: str) -> bool:
     return all(math.isfinite(float(c)) for c in cells)
 
 
-_finite = st.floats(-1e300, 1e300, allow_nan=False)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=300)

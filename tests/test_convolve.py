@@ -5,8 +5,8 @@ from scipy.special import j0
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.convolve import (ControlSpec, control_demo, control_inverse,
                             control_response, convolve, damped_bessel_symbol)
-from intop.intmat import (ScalarSymbol, build_integration_matrices,
-                          eigen_factorize, scale)
+from intop.intmat import (ScalarSymbol, apply_real, build_integration_matrices,
+                          eigen_factorize, scale, symbol_on_spectrum)
 from intop.oracle import (adaptive_integrate, direct_convolution,
                           load_fixtures)
 
@@ -92,12 +92,21 @@ def test_control_demo_deviations():
     rep = control_demo(5)
     assert rep.pipeline == "control"
     assert rep.max_coarse_error < THRESH["control_n5_vs_ref_coarse"]
-    # diagonal recipe reproduces the closed-form factorization exactly
-    assert rep.metadata["closed_form_deviation"] < 1e-12
     assert rep.metadata["imag_residue"] < 1e-12
-    # the variant carrying the extra 1/(alpha + 1/lambda) factor is a
-    # different operator; its distance is recorded, not asserted away
-    assert 0.1 < rep.metadata["printed_variant_deviation"] < 0.3
+    # the demo's response, rebuilt from the symbol on the spectrum
+    eig = make_eig(5, 0.0, 3.0, side="-")
+    g = np.exp(-0.7 * eig.scaled.xi)
+    phi = symbol_on_spectrum(eig, damped_bessel_symbol(1.0), "fourier")
+    response, _ = apply_real(eig, phi, g)
+    np.testing.assert_array_equal(response, rep.coarse_computed)
+    # the diagonal recipe lam/d(lam), d = ((1+alpha^2) lam^2 + 2 alpha lam + 1)^(1/2)
+    # at alpha = 1, reproduces the closed-form factorization exactly
+    closed, _ = apply_real(eig, lambda lam: lam / np.sqrt(2 * lam * lam + 2 * lam + 1), g)
+    assert np.abs(response - closed).max() < 1e-12
+    # the printed variant, with an extra 1/(alpha + iy) = 1/(alpha + 1/lambda)
+    # factor, is a different operator
+    printed, _ = apply_real(eig, lambda lam: phi(lam) / (1.0 + 1.0 / lam), g)
+    assert 0.1 < np.abs(response - printed).max() < 0.3
 
 
 def test_control_spec_validation():

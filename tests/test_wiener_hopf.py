@@ -67,17 +67,28 @@ def test_demo_against_exact_solution():
     assert rep.max_coarse_error < THRESH["wh_n5_max_node_error"]
     assert rep.metadata["residual"] < 1e-9
     assert not rep.metadata["nonunique"]
-    assert rep.metadata["imag_residue"] < 1e-12
-    # the flipped-sign assembly lands far away; recorded as a diagnostic
-    assert rep.metadata["alt_sign_error"] > 0.1
+    plus, minus = make_pair(5)
+    k_plus, k_minus = _exp_kernel_half(plus), _exp_kernel_half(minus)
+    g = demand(plus.xi)
+    assert solve(k_plus, k_minus, g).imag_residue < 1e-12
+    # the flipped-sign assembly (I - K+ + K-) f = g lands far away
+    alt = np.linalg.lstsq(np.eye(5) - k_plus + k_minus, g, rcond=None)[0]
+    assert np.abs(alt - rep.coarse_exact).max() > 0.1
 
 
 def test_imag_residue_survives_large_solutions():
-    # on (0, 25) the solution reaches ~1e240; every value is finite, and the
-    # real solve reports no imaginary residue
+    # on (0, 25) the solution reaches ~1e240; every value is finite, the real
+    # solve of the demo's halves reports no imaginary residue, and neither
+    # does the complex one, whose residue is scaled before it is squared
     rep = exp_kernel_demo(5, b=25.0)
     assert np.all(np.isfinite(rep.coarse_computed))
-    assert rep.metadata["imag_residue"] < 1e-12
+    plus, minus = make_pair(5, b=25.0)
+    k_plus, k_minus = _exp_kernel_half(plus), _exp_kernel_half(minus)
+    g = demand(plus.xi)
+    result = solve(k_plus, k_minus, g)
+    assert result.imag_residue == 0.0
+    np.testing.assert_array_equal(result.values, rep.coarse_computed)
+    assert solve(k_plus, k_minus, g.astype(np.complex128)).imag_residue < 1e-12
 
 
 def test_solver_accuracy_improves_with_n():

@@ -33,7 +33,7 @@ from pathlib import Path
 
 FAMILIES = ("legendre", "chebyshev1", "gegenbauer:0.8", "jacobi:0.3,-0.4")
 DEMOS = ("ft-invert", "lt-invert", "control", "ode", "wiener-hopf")
-# One interval per eigen-route subcommand other than its default.
+# One interval other than its default per subcommand that takes --a and --b.
 INTERVALS = {"eigs": ("0.5", "2.5"), "ft-invert": ("1", "3"),
              "lt-invert": ("0.5", "1.5"), "control": ("0.5", "2.5"),
              "ode": ("0.25", "0.75"), "wiener-hopf": ("-0.5", "0.5")}
