@@ -1,15 +1,15 @@
 """Independent reference computations used to cross-check the collocation path.
 
 Nothing in here touches the integration matrices. Quadrature is one adaptive
-bisection with Gauss rules over a list of breakpoints, in the manner of
-QUADPACK's qagp: adaptive_integrate(f, a, b, tol) gives a definite
-integral, and running_integral(f, a, points, tol) gives int_a^x f at many x
-from a single bisection; both tag an (x - a)^g endpoint singularity with
-left_exponent=g. The integrand is called once per Gauss rule on the
-abscissae of every seed panel (one per gap between breakpoints) together.
-After that, adaptive_integrate gives each bisection child calls of its own,
-while running_integral, whose integrand must be pointwise, evaluates the
-next three bisection levels below a panel in one call per rule. An
+bisection with QUADPACK's 21-point Gauss-Kronrod rule over a list of
+breakpoints, in the manner of its qagp: adaptive_integrate(f, a, b, tol)
+gives a definite integral, and running_integral(f, a, points, tol) gives
+int_a^x f at many x from a single bisection; both tag an (x - a)^g endpoint
+singularity with left_exponent=g. The integrand is called once on the
+Kronrod abscissae of every seed panel (one per gap between breakpoints)
+together, and once per popped panel whose halves are not yet known: on both
+halves for adaptive_integrate, and on the next three bisection levels below
+the panel for running_integral, whose integrand must be pointwise. An
 integrand may also return a (k, m) stack of k integrands on its m abscissae:
 the rows share every call, but each row keeps its own heap and stopping
 rule, so row i comes out bit for bit as it would alone. Convolutions are
@@ -35,14 +35,37 @@ __all__ = [
     "running_integral",
 ]
 
-_GAUSS_LO = np.polynomial.legendre.leggauss(10)
-_GAUSS_HI = np.polynomial.legendre.leggauss(21)
+# QUADPACK's qk21 table (Piessens et al., 1983): the non-negative 21-point
+# Kronrod abscissae on [-1, 1], outermost first, with their weights; xgk[1],
+# xgk[3], ..., xgk[9] are the positive 10-point Gauss abscissae, weights wg.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208980140034, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# ascending on [-1, 1]; the Gauss abscissae sit at the odd positions
+_KRONROD_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_KRONROD_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
+_GAUSS_WEIGHTS = np.array(_WG + _WG[::-1])
 
 _MAX_DEPTH = 40
 # Bisection levels below a popped panel that running_integral evaluates in
-# one call per rule (2 + 4 + 8 panels). A call costs about 50 us of numpy
-# overhead whatever its size; verify_suite(100) makes 1,344 / 707 / 494 / 388
+# one call (2 + 4 + 8 panels). A call costs about 50 us of numpy overhead
+# whatever its size; verify_suite(100) makes 393 / 233 / 181 / 154
 # inner calls at 1 / 2 / 3 / 4 levels, and a fourth level saves no time.
+# adaptive_integrate takes one level: verify's outer integrands cost per
+# abscissa, not per call, and three levels made check_half_line_pairing
+# take 20.6 ms instead of 5.5 ms.
 _LOOKAHEAD = 3
 _MAX_INTERVALS = 200_000
 # Roundoff floor as a multiple of eps * integral of |f| (QUADPACK's resabs).
@@ -54,31 +77,26 @@ def _panels(f, lo, hi):
     [lo[i], hi[i]], each a list of rows of Python scalars, one per panel,
     and whether f returned a stack.
 
-    f is called once per Gauss rule (10-point, then 21-point) on the
-    abscissae of every panel together, and returns either one value per
-    abscissa (one row) or a (k, m) stack of k rows. Value and error come
-    from the 10/21 pair; the integral of |f| reuses the 21-point
-    evaluations. Each row of each panel is summed and each error taken as a
-    scalar would be, so a panel row gets the same bits whichever panels and
-    rows share its call.
+    f is called once on the 21 Kronrod abscissae of every panel together,
+    and returns either one value per abscissa (one row) or a (k, m) stack of
+    k rows. The value is the 21-point Kronrod sum; the error estimate is its
+    distance to the 10-point Gauss sum over the odd positions of the same
+    evaluations, and the integral of |f| reuses them too. Each row of each
+    panel is summed and each error taken as a scalar would be, so a panel
+    row gets the same bits whichever panels and rows share its call.
     """
     mid = (0.5 * (lo + hi))[:, None]
     rad = 0.5 * (hi - lo)
-
-    def rule(nodes):
-        fx = np.asarray(f((mid + rad[:, None] * nodes).ravel()))
-        return fx.reshape(-1, len(rad), len(nodes)), fx.ndim > 1
-
-    f_lo, stacked = rule(_GAUSS_LO[0])
-    v_lo = rad * np.add.reduce(_GAUSS_LO[1] * f_lo, axis=2)
-    f_hi, _ = rule(_GAUSS_HI[0])
-    v_hi = rad * np.add.reduce(_GAUSS_HI[1] * f_hi, axis=2)
-    mag = rad * np.add.reduce(_GAUSS_HI[1] * np.abs(f_hi), axis=2)
+    fx = np.asarray(f((mid + rad[:, None] * _KRONROD_NODES).ravel()))
+    fk = fx.reshape(-1, len(rad), _KRONROD_NODES.size)
+    v_kr = rad * np.add.reduce(_KRONROD_WEIGHTS * fk, axis=2)
+    v_gauss = rad * np.add.reduce(_GAUSS_WEIGHTS * fk[..., 1::2], axis=2)
+    mag = rad * np.add.reduce(_KRONROD_WEIGHTS * np.abs(fk), axis=2)
     # np.abs of a complex array can differ in the last bit from the scalar
     # abs, which is hypot
-    diff = v_hi - v_lo
-    return (v_hi.tolist(), np.hypot(diff.real, diff.imag).tolist(),
-            mag.tolist(), stacked)
+    diff = v_kr - v_gauss
+    return (v_kr.tolist(), np.hypot(diff.real, diff.imag).tolist(),
+            mag.tolist(), fx.ndim > 1)
 
 
 def _fsum(vals):
@@ -110,18 +128,19 @@ def _bisections(panels, lo, hi, levels: int):
     return dict(zip(bounds, zip(*panels(l, h))))
 
 
-def _bisect(panels, heap, n_gaps: int, tol: float, pointwise: bool):
+def _bisect(panels, heap, n_gaps: int, tol: float, levels: int):
     """Bisect one row's heap of seed panels until its error estimate summed
     over all gaps is at or below max(tol, roundoff floor). panels(lo, hi)
     gives the row's (values, errors, mags) on the panels [lo[i], hi[i]].
     Returns (value of each of the n_gaps gaps, summed estimate).
 
-    pointwise says that the integrand's value at an abscissa does not depend
-    on the other abscissae of its call. Then a popped panel whose halves are not yet
-    known has its next _LOOKAHEAD levels (at most down to _MAX_DEPTH)
-    evaluated in one panels call; since _panels gives a panel the same bits
-    in any company, the heap sees exactly the values and pops it would see
-    with one call per child.
+    A popped panel whose halves are not yet known has its next `levels`
+    bisection levels (at most down to _MAX_DEPTH) evaluated in one panels
+    call, its two halves alone at levels=1. Since _panels gives a panel the
+    same bits in any company, a pointwise integrand's heap sees exactly the
+    values and pops it would see with one call per child at any number of
+    levels; one that is not pointwise (verify's outer integrands run a
+    running_integral over their abscissae) rounds with its call's company.
     """
     tie = itertools.count(len(heap))
     heapq.heapify(heap)
@@ -138,17 +157,9 @@ def _bisect(panels, heap, n_gaps: int, tol: float, pointwise: bool):
                          heap, total_err, tol, total_mag)
         neg_err, _, lo, hi, depth, v, m, gap = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if pointwise:
-            if (lo, mid) not in known:
-                known.update(_bisections(
-                    panels, lo, hi, min(_LOOKAHEAD, _MAX_DEPTH - depth)))
-            (v1, e1, m1), (v2, e2, m2) = known.pop((lo, mid)), known.pop((mid, hi))
-        else:
-            # one call per child: an integrand that runs a running_integral
-            # over its abscissae (the outer rules in verify) would round
-            # differently if handed both children at once
-            (v1,), (e1,), (m1,) = panels(np.array([lo]), np.array([mid]))
-            (v2,), (e2,), (m2,) = panels(np.array([mid]), np.array([hi]))
+        if (lo, mid) not in known:
+            known.update(_bisections(panels, lo, hi, min(levels, _MAX_DEPTH - depth)))
+        (v1, e1, m1), (v2, e2, m2) = known.pop((lo, mid)), known.pop((mid, hi))
         heapq.heappush(heap, (-e1, next(tie), lo, mid, depth + 1, v1, m1, gap))
         heapq.heappush(heap, (-e2, next(tie), mid, hi, depth + 1, v2, m2, gap))
         total_err += e1 + e2 + neg_err
@@ -159,10 +170,11 @@ def _bisect(panels, heap, n_gaps: int, tol: float, pointwise: bool):
     return [_fsum(vals) for vals in parts], total_err
 
 
-def _adaptive(f, edges, tol: float, pointwise: bool = False):
+def _adaptive(f, edges, tol: float, levels: int = 1):
     """Integrate f over every gap between consecutive edges: seed a panel
     per gap, every row of a stacked f in one _panels call, then bisect each
-    row that is not yet within max(tol, roundoff floor) on a heap of its own.
+    row that is not yet within max(tol, roundoff floor) on a heap of its own,
+    `levels` bisection levels per call (see _bisect).
 
     Returns (value of each gap, summed estimate) for a one-row f, and for a
     stack of k rows a (gaps, k) array of values and a length-k array of
@@ -195,7 +207,7 @@ def _adaptive(f, edges, tol: float, pointwise: bool = False):
 
         heap = [(-err, tie, l, h, 0, val, mag, gap) for tie, (val, err, mag, l, h, gap)
                 in enumerate(zip(vals, errs, mags, lo.tolist(), hi.tolist(), gap_list))]
-        rows.append(_bisect(panels, heap, n_gaps, tol, pointwise))
+        rows.append(_bisect(panels, heap, n_gaps, tol, levels))
     if not stacked:
         return rows[0]
     values, errs = zip(*rows)
@@ -227,9 +239,11 @@ def adaptive_integrate(f, a: float, b: float, tol: float,
     """int_a^b f to the absolute tolerance tol or the roundoff floor.
 
     f must accept a 1-d ndarray of abscissae and return an ndarray (real or
-    complex) of the same shape. Each call holds the abscissae of one panel,
-    so f may itself run a running_integral over them (running_integral
-    hands many panels to one call and needs a pointwise integrand).
+    complex) of the same shape. The first call holds the abscissae of the
+    seed panel and each later one those of the two halves of a popped
+    panel, so f need not be pointwise: it may itself run a
+    running_integral over its abscissae (running_integral hands up to 14
+    panels to one call and needs a pointwise integrand).
     left_exponent / right_exponent tag integrable endpoint singularities:
     exponent g > -1 means f behaves like (x - a)^g (resp. (b - x)^g) there,
     and the integral is transformed to remove the singularity before
@@ -238,18 +252,19 @@ def adaptive_integrate(f, a: float, b: float, tol: float,
     f may instead return a (k, m) stack: k integrands on the call's m
     abscissae. value and error_estimate are then length-k arrays, and row
     i of each (its OracleError text included) is bit for bit what f's row i
-    alone gives: all rows are seeded in one call per Gauss rule, then each
-    keeps its own heap and stopping rule. A row that bisects evaluates the
-    whole stack for each of its panels and keeps its own row, so a stack
-    pays off when its rows converge on their seed panel, as the verify
-    suite's polynomial draws do (both Gauss rules are exact for them).
+    alone gives: all rows are seeded in one call, then each keeps its own
+    heap and stopping rule. A row that bisects evaluates the whole stack
+    for each of its panels and keeps its own row, so a stack pays off when
+    its rows converge on their seed panel, as the verify suite's polynomial
+    draws do (the Kronrod rule and its Gauss rule are exact for them).
 
     Bisection stops once the error estimate is at or below
     max(tol, 50 * eps * integral of |f|); the second term is the roundoff
-    floor (QUADPACK's resabs test), below which the 10-vs-21-point
+    floor (QUADPACK's resabs test), below which the Kronrod-vs-Gauss
     difference is rounding noise that bisection cannot shrink.
     Returns (value, error_estimate); the estimate is the heap sum of local
-    10-vs-21-point Gauss differences, a conservative bound in practice, and
+    |K21 - G10| differences (without QUADPACK's 1.5-power rescaling, which
+    would shrink a small one), a conservative bound in practice, and
     it exceeds tol when the floor decided the stop. Raises OracleError when
     bisection cannot reach the tolerance or the floor; the message gives the
     panels used, the value reached and the floor.
@@ -286,10 +301,11 @@ def running_integral(f, a: float, points, tol: float,
     every point must be finite (ValueError otherwise).
 
     f must be pointwise: one call holds the abscissae of many panels (every
-    seed panel, then up to three bisection levels below a panel), and f's
-    value at each abscissa may not depend on the others in its call. A
-    stacked f, (k, m) values on m abscissae as in adaptive_integrate, gives
-    a (k, len(points)) array whose row i is bit for bit f's row i alone.
+    seed panel, then up to three bisection levels below a popped panel),
+    and f's value at each abscissa may not depend on the others in its
+    call. A stacked f, (k, m) values on m abscissae as in adaptive_integrate,
+    gives a (k, len(points)) array whose row i is bit for bit f's row i
+    alone.
     When no point lies above a, f is never called and the result is one row
     of zeros, which broadcasts against a stack.
     """
@@ -304,7 +320,7 @@ def running_integral(f, a: float, points, tol: float,
     if left_exponent is not None:
         f, _, _ = _desingularized(f, a, edges[-1], left_exponent, left=True)
         edges = (edges - a) ** (1.0 + left_exponent)
-    values, _ = _adaptive(f, edges, tol, pointwise=True)
+    values, _ = _adaptive(f, edges, tol, _LOOKAHEAD)
     return np.cumsum(values, axis=0)[np.argsort(order)].T
 
 

@@ -94,9 +94,10 @@ def test_oracle_error_reports_panels_value_and_floor():
 
 
 def test_roundoff_floor_stops_exact_polynomial_square():
-    # Both Gauss rules are exact for this degree-16 integrand, so their
-    # difference is rounding noise near eps * 2e4, above the requested 1e-13;
-    # the oracle must stop there rather than bisect to the panel cap.
+    # The Kronrod rule and its Gauss rule are exact for this degree-16
+    # integrand, so their difference is rounding noise near eps * 2e4, above
+    # the requested 1e-13; the oracle must stop there rather than bisect to
+    # the panel cap.
     c = np.array([0.5, 1.0, -1.5, 2.0, 0.25, -1.0, 0.75, -0.5, 1.75])
     anti = P.polyint(P.polymul(c, c))
     exact = P.polyval(2.0, anti) - P.polyval(0.0, anti)
@@ -175,6 +176,21 @@ def test_running_integral_matches_pointwise_quadrature(c, k, exponent, pts):
         assert abs(value - ref) <= tol, x
 
 
+def test_kronrod_table_embeds_the_gauss_rule_and_has_degree_31():
+    eps = np.finfo(np.float64).eps
+    x, wk = oracle._KRONROD_NODES, oracle._KRONROD_WEIGHTS
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    assert np.all(np.abs(x[1::2] - gx) <= 2 * eps)
+    assert np.all(np.abs(oracle._GAUSS_WEIGHTS - gw) <= 2 * eps)
+    assert abs(math.fsum(wk) - 2.0) <= 2 * eps
+    # exact through degree 3 * 10 + 1 = 31 and no further (a miss of 4.4e-12
+    # at degree 32), so a wrong digit in the table fails here
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(wk @ x ** k - exact) <= 4 * eps, k
+    assert abs(wk @ x ** 32 - 2.0 / 33) > 1e-13
+
+
 def test_running_integral_calls_the_integrand_once_per_rule():
     c = np.array([0.3, -1.2, 2.0, 0.5, -0.7, 1.1])
     calls = []
@@ -187,8 +203,9 @@ def test_running_integral_calls_the_integrand_once_per_rule():
     got = running_integral(f, 0.0, pts, 1e-10)
     anti = P.polyint(c)
     np.testing.assert_allclose(got, P.polyval(pts, anti), rtol=0, atol=1e-13)
-    # both Gauss rules are exact for degree 5: the 50 seed panels suffice
-    assert calls == [50 * 10, 50 * 21]
+    # the Kronrod rule and its Gauss rule are exact for degree 5: the 50
+    # seed panels suffice, all in one call
+    assert calls == [50 * 21]
     calls.clear()
     assert np.array_equal(running_integral(f, 0.0, [0.0, -1.0, -0.5], 1e-10),
                           np.zeros(3))
@@ -196,17 +213,18 @@ def test_running_integral_calls_the_integrand_once_per_rule():
 
 
 def _reference_panel(f, lo, hi):
-    """One panel per call, two integrand calls per panel."""
+    """One panel per call: its Kronrod value, the distance to the Gauss value
+    on the odd Kronrod abscissae, and the Kronrod integral of |f|."""
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
-    v_lo = rad * np.sum(oracle._GAUSS_LO[1] * f(mid + rad * oracle._GAUSS_LO[0]))
-    f_hi = f(mid + rad * oracle._GAUSS_HI[0])
-    v_hi = rad * np.sum(oracle._GAUSS_HI[1] * f_hi)
-    return v_hi, abs(v_hi - v_lo), rad * np.sum(oracle._GAUSS_HI[1] * np.abs(f_hi))
+    fx = f(mid + rad * oracle._KRONROD_NODES)
+    v_kr = rad * np.sum(oracle._KRONROD_WEIGHTS * fx)
+    v_gauss = rad * np.sum(oracle._GAUSS_WEIGHTS * fx[1::2])
+    return v_kr, abs(v_kr - v_gauss), rad * np.sum(oracle._KRONROD_WEIGHTS * np.abs(fx))
 
 
-def _reference_adaptive(f, edges, tol, pointwise=False):
-    """The bisection seeded gap by gap, each panel on its own; pointwise is
+def _reference_adaptive(f, edges, tol, levels=1):
+    """The bisection seeded gap by gap, each panel on its own; levels is
     accepted and ignored."""
     tie = itertools.count()
     heap = []
@@ -324,9 +342,9 @@ def test_running_integral_evaluates_three_levels_per_call_on_a_kink():
 
     got = running_integral(f, 0.0, np.linspace(0.05, 1.0, 20), 1e-11)
     assert abs(got[-1] - 5.0 / 18.0) <= 1e-11
-    # one call per rule on the 20 seed panels, then on 14 panels (three
-    # levels below a popped panel) per call; one call per child made 42 calls
-    assert calls == [200, 420, 140, 294, 140, 294, 140, 294, 140, 294]
+    # one call on the 20 seed panels, then one on 14 panels (three levels
+    # below a popped panel) per call; one call per child made 21 calls
+    assert calls == [20 * 21] + [14 * 21] * 4
 
 
 def test_lookahead_stops_at_the_depth_cap_inside_the_popped_panel():
@@ -351,7 +369,7 @@ def test_lookahead_stops_at_the_depth_cap_inside_the_popped_panel():
     assert 0.0 < min(seen) and max(seen) < 1.0
 
 
-def test_adaptive_integrate_hands_its_integrand_one_panel_per_call():
+def test_adaptive_integrate_hands_its_integrand_both_children_per_call():
     calls = []
 
     def f(x):
@@ -360,9 +378,10 @@ def test_adaptive_integrate_hands_its_integrand_one_panel_per_call():
 
     value, _ = adaptive_integrate(f, 0.0, 1.0, tol=1e-11)
     assert abs(value - 5.0 / 18.0) <= 1e-11
-    # the integrand of verify's outer rules runs a running_integral over its
-    # abscissae, which would round differently with more panels in a call
-    assert len(calls) > 2 and calls == [10, 21] * (len(calls) // 2)
+    # the seed panel, then the two halves of each popped panel: the integrand
+    # of verify's outer rules runs a running_integral over its abscissae, and
+    # each abscissa costs it work, so there is no deeper lookahead
+    assert len(calls) > 2 and calls == [21] + [2 * 21] * (len(calls) - 1)
 
 
 def test_fixtures_thresholds_cover_measured():
