@@ -9,7 +9,7 @@ from .basis import (ExtrapolationWarning, IntervalMap, QuadratureBasis,
                     interpolate, lagrange_cardinal, orthonormal_table,
                     recurrence_coefficients)
 from .convolve import (ControlSpec, control_demo, control_inverse,
-                       control_response, convolve, damped_bessel_symbol)
+                       control_response, damped_bessel_symbol)
 from .errors import (IllConditionedError, NodeComputationError,
                      NonContractionError, NumericalError, OracleError,
                      PoleEvaluationError, SingularDesignError)

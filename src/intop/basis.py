@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeComputationError
+from .errors import NodeComputationError, NumericalError
 from .memo import lru_memo, read_only
 
 __all__ = [
@@ -136,6 +136,9 @@ class IntervalMap:
         if not math.isfinite(self.b - self.a):
             # finite b - a with a < b also rules out infinite endpoints
             raise ValueError(f"interval ({self.a:g}, {self.b:g}) must have a finite length")
+        if not self.half_length > 0.0:  # b - a = 5e-324, the least subnormal
+            raise NumericalError(f"interval ({self.a:g}, {self.b:g}) has a half-length "
+                                 "that rounds to 0")
 
     @property
     def half_length(self) -> float:

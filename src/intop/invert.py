@@ -53,10 +53,27 @@ def laplace_invert(transform: ScalarSymbol, eig: EigenFactorization) -> np.ndarr
     return _invert(transform, eig, "laplace")
 
 
-def _demo_scaffold(n: int, a: float, b: float):
+def _demo_report(pipeline: str, n: int, a: float, b: float, fine_points: int,
+                 side: str, exact, solve) -> SolveReport:
+    """The frame every demo but control runs in: the order-n Legendre matrix
+    of side scaled to (a, b), the exact solution at its nodes and on
+    fine_points equispaced points, then solve(scaled, fine) -> (node values,
+    metadata), interpolated to the fine mesh.
+
+    The exact columns are evaluated first, so a non-finite one is refused
+    with NumericalError before solve runs.
+    """
     imap = IntervalMap(a, b)
     bas = build_basis(WeightFamily.legendre(), n)
-    return imap, bas, scale(build_integration_matrices(bas), "+", imap)
+    scaled = scale(build_integration_matrices(bas), side, imap)
+    fine = np.linspace(a, b, fine_points)
+    with np.errstate(all="ignore"):  # an overflow is refused just below
+        coarse_exact, fine_exact = exact(scaled.xi), exact(fine)
+    if not (np.all(np.isfinite(coarse_exact)) and np.all(np.isfinite(fine_exact))):
+        raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
+    computed, meta = solve(scaled, fine)
+    return SolveReport(pipeline, n, a, b, scaled.xi, coarse_exact, computed, fine,
+                       fine_exact, interpolate(bas, imap, computed, fine), meta)
 
 
 def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
@@ -64,37 +81,27 @@ def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     """Recover e^{-(t-a)} on (a, b) from its transform 1/(1 - iy).
 
     The transform is rational: at i/lam it is lam/(1 + lam), so
-    f = (1/C) T(i/C) 1 = (I + C)^{-1} 1, one solve. The exact columns are
-    evaluated first, so a non-finite one is refused before the solve.
+    f = (1/C) T(i/C) 1 = (I + C)^{-1} 1, one solve.
     """
-    imap, bas, scaled = _demo_scaffold(n, a, b)
-    fine = np.linspace(a, b, fine_points)
-    exact, fine_exact = np.exp(a - scaled.xi), np.exp(a - fine)
-    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(fine_exact))):
-        raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
-    computed = np.linalg.solve(np.eye(n) + scaled.C, np.ones(n))
-    meta = {"transform": "1/(1-iy)", "exact_kind": "closed_form"}
-    return SolveReport("ft_invert", n, a, b, scaled.xi, exact, computed, fine,
-                       fine_exact, interpolate(bas, imap, computed, fine), meta)
+    def solve(scaled, fine):
+        return (np.linalg.solve(np.eye(n) + scaled.C, np.ones(n)),
+                {"transform": "1/(1-iy)", "exact_kind": "closed_form"})
+    return _demo_report("ft_invert", n, a, b, fine_points, "+",
+                        lambda t: np.exp(a - t), solve)
 
 
 def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                  b: float = 2.0) -> SolveReport:
     """Recover sinc(t - a) = sin(pi (t-a))/(pi (t-a)) on (a, b) from
     arctan(pi/s)/pi, which is 1/2 - arctan(s/pi)/pi on Re s > 0 without its
-    cancellation at |s| ~ 1/(b - a). The exact columns are evaluated first,
-    so a non-finite one is refused before the factorization."""
-    imap, bas, scaled = _demo_scaffold(n, a, b)
-    fine = np.linspace(a, b, fine_points)
-    with np.errstate(all="ignore"):  # pi (t - a) overflows past t - a ~ 5.7e307
-        exact, fine_exact = np.sinc(scaled.xi - a), np.sinc(fine - a)
-    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(fine_exact))):
-        raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
-    eig = eigen_factorize(scaled)
+    cancellation at |s| ~ 1/(b - a). pi (t - a) overflows past
+    t - a ~ 5.7e307, where the exact columns are refused."""
     symbol = ScalarSymbol(
         lambda s: np.arctan(np.pi / np.asarray(s, dtype=np.complex128)) / np.pi,
         "right")
-    computed = laplace_invert(symbol, eig)
-    meta = {"transform": "arctan(pi/s)/pi", "exact_kind": "closed_form"}
-    return SolveReport("lt_invert", n, a, b, scaled.xi, exact, computed, fine,
-                       fine_exact, interpolate(bas, imap, computed, fine), meta)
+
+    def solve(scaled, fine):
+        return (laplace_invert(symbol, eigen_factorize(scaled)),
+                {"transform": "arctan(pi/s)/pi", "exact_kind": "closed_form"})
+    return _demo_report("lt_invert", n, a, b, fine_points, "+",
+                        lambda t: np.sinc(t - a), solve)

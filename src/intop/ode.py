@@ -16,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (IntervalMap, WeightFamily, _barycentric_matrix,
-                    barycentric_weights, build_basis, interpolate)
+from .basis import IntervalMap, _barycentric_matrix, barycentric_weights
 from .errors import NonContractionError
-from .intmat import ScaledMatrix, build_integration_matrices, scale
+from .intmat import ScaledMatrix, scale
+from .invert import _demo_report
 from .report import SolveReport
+# Unused here, but perfbench/spans.py wraps them (tangent_demo runs in _demo_report)
+from .basis import build_basis, interpolate  # noqa: F401
+from .intmat import build_integration_matrices  # noqa: F401
 
 __all__ = [
     "OdeProblem",
@@ -146,17 +149,14 @@ def restart_extend(problem: OdeProblem, scaled: ScaledMatrix, segments: int,
 def tangent_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
                  b: float = 0.5) -> SolveReport:
     """y' = 1 + y^2, y(a) = tan(a): recover tan on (a, b)."""
-    imap = IntervalMap(a, b)
-    bas = build_basis(WeightFamily.legendre(), n)
-    scaled = scale(build_integration_matrices(bas), "+", imap)
     problem = OdeProblem(lambda x, y: 1.0 + y * y, math.tan(a))
-    res = picard_solve(problem, scaled)
-    fine = np.linspace(a, b, fine_points)
-    meta = {"ode": "y' = 1 + y^2", "exact_kind": "closed_form",
+
+    def solve(scaled, fine):
+        res = picard_solve(problem, scaled)
+        return res.values, {
+            "ode": "y' = 1 + y^2", "exact_kind": "closed_form",
             "iterations": res.iterations, "final_delta": res.final_delta,
             "converged": res.converged,
             "hermite_max_fine_error": float(np.abs(
                 hermite_refine(problem, res, scaled, fine) - np.tan(fine)).max())}
-    return SolveReport("ode", n, a, b, scaled.xi, np.tan(scaled.xi), res.values,
-                       fine, np.tan(fine), interpolate(bas, imap, res.values, fine),
-                       meta)
+    return _demo_report("ode", n, a, b, fine_points, "+", np.tan, solve)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import IntervalMap, WeightFamily, build_basis, interpolate
 from .errors import NumericalError, PoleEvaluationError
-from .intmat import ScaledMatrix, _imag_residue, build_integration_matrices, scale
-# Unused here, but perfbench/spans.py wraps intop.wiener_hopf.eigen_factorize
-# and matrix_function, the route a non-rational kernel takes into solve.
-from .intmat import eigen_factorize, matrix_function  # noqa: F401
+from .intmat import ScaledMatrix, _imag_residue, scale
+from .invert import _demo_report
 from .report import SolveReport
+# Unused here, but perfbench/spans.py wraps them: a non-rational kernel reaches
+# solve through matrix_function, and exp_kernel_demo runs in invert._demo_report.
+from .basis import build_basis, interpolate  # noqa: F401
+from .intmat import build_integration_matrices, eigen_factorize, matrix_function  # noqa: F401
 
 __all__ = [
     "WienerHopfResult",
@@ -118,29 +119,17 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     """The solvable benchmark: k(s) = -e^{-s} for every s and
     g(t) = 2 e^{-1/2} t e^{t^2 - t}, so that f(t) = g(t) - c e^{-t} with
     c = e^{-1/2} (e^{b^2} - e^{a^2}) / (1 + b - a), which is sinh(1/2) on
-    (0, 1).
+    (0, 1). g overflows past t ~ 27.2, and only where f does, so the frame's
+    refusal of a non-finite exact column covers it.
 
-    g and the exact columns are evaluated first, so an overflow is refused
-    before the solves. The metadata describes the collocated system: its
-    residual, its extreme singular values and whether it is rank-deficient.
+    The metadata describes the collocated system: its residual, its extreme
+    singular values and whether it is rank-deficient.
     """
-    imap = IntervalMap(a, b)
-    bas = build_basis(WeightFamily.legendre(), n)
-    mats = build_integration_matrices(bas)
-    plus, minus = scale(mats, "+", imap), scale(mats, "-", imap)
-    xi = plus.xi
-    fine = np.linspace(a, b, fine_points)
-    with np.errstate(all="ignore"):  # e^{t^2 - t} overflows past t ~ 27.2
-        g, exact, fine_exact = _demo_g(xi), _demo_exact(xi, a, b), _demo_exact(fine, a, b)
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("right-hand side is not finite at the nodes")
-    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(fine_exact))):
-        raise NumericalError("exact solution is not finite on the nodes or the fine mesh")
-    result = solve(_exp_kernel_half(plus), _exp_kernel_half(minus), g)
-    meta = {"exact_kind": "closed_form",
-            "residual": result.residual,
-            "nonunique": result.nonunique,
-            "sigma_min": result.sigma_min, "sigma_max": result.sigma_max}
-    return SolveReport("wiener_hopf", n, a, b, xi, exact, result.values,
-                       fine, fine_exact,
-                       interpolate(bas, imap, result.values, fine), meta)
+    def solve_halves(plus, fine):
+        minus = scale(plus.source, "-", plus.imap)
+        result = solve(_exp_kernel_half(plus), _exp_kernel_half(minus), _demo_g(plus.xi))
+        return result.values, {"exact_kind": "closed_form", "residual": result.residual,
+                               "nonunique": result.nonunique, "sigma_min": result.sigma_min,
+                               "sigma_max": result.sigma_max}
+    return _demo_report("wiener_hopf", n, a, b, fine_points, "+",
+                        lambda t: _demo_exact(t, a, b), solve_halves)

@@ -144,6 +144,28 @@ def test_numerical_failure_exits_two(tmp_path, capsys, argv):
     assert "numerical failure" in captured.err
 
 
+@pytest.mark.parametrize("command", ["eigs", "ft-invert", "lt-invert", "control",
+                                     "ode", "wiener-hopf"])
+@pytest.mark.parametrize("ends", [("--a=0", "--b=5e-324"), ("--a=-5e-324", "--b=0")])
+def test_interval_whose_half_length_rounds_to_zero_exits_two(capsys, command, ends):
+    # b - a is the least subnormal; without the refusal the scaled matrix is
+    # all zeros and the artifacts hold NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, *ends]) == 2
+    assert capsys.readouterr().err.startswith("intop: numerical failure:")
+
+
+def test_exact_columns_are_refused_before_the_solve(capsys):
+    # g is finite at every node, but c, and so the exact column, overflows;
+    # solving first would leak an overflow from the kernel halves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["wiener-hopf", "--b", "27", "--n", "40"]) == 2
+    assert capsys.readouterr().err == ("intop: numerical failure: exact solution is "
+                                       "not finite on the nodes or the fine mesh\n")
+
+
 def test_fourier_demo_far_from_the_origin_exits_zero(capsys):
     # the exact solution e^{-(t - a)} stays in (0, 1] on any (a, b), so an
     # interval far left of the origin runs like any other

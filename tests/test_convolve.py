@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -135,3 +137,10 @@ def test_control_inverse_on_random_vectors():
         r = convolve(sym, p, eig)
         np.testing.assert_allclose(control_inverse(spec, eig, r), p,
                                    atol=1e-10)
+
+
+def test_the_package_name_convolve_is_the_module():
+    # the package does not import the function, which would shadow the module
+    import intop.convolve as m
+    assert inspect.ismodule(m)
+    assert "convolve" in m.__all__

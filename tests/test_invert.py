@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from discrete_exact import fourier_nodes
-from intop.basis import IntervalMap, WeightFamily, build_basis
+from intop.basis import IntervalMap, WeightFamily, build_basis, interpolate
+from intop.convolve import control_demo
 from intop.intmat import (ScalarSymbol, build_integration_matrices,
                           eigen_factorize, scale)
 from intop.invert import (fourier_demo, fourier_invert, laplace_demo,
                           laplace_invert)
+from intop.ode import tangent_demo
 from intop.oracle import load_fixtures
+from intop.wiener_hopf import exp_kernel_demo
 
 THRESH = load_fixtures()["thresholds"]
 EPS = np.finfo(np.float64).eps
@@ -135,3 +138,20 @@ def test_kind_and_region_validation():
         laplace_invert(upper, eig_plus)
     with pytest.raises(ValueError):
         laplace_invert(right, eig_minus)
+
+
+@pytest.mark.parametrize("demo, a, b", [(fourier_demo, 1.0, 3.0), (laplace_demo, 0.5, 1.5),
+                                        (control_demo, 0.5, 2.5), (tangent_demo, 0.25, 0.75),
+                                        (exp_kernel_demo, -0.5, 0.5)],
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_demo_report_frame(demo, a, b):
+    # every demo reports its nodes mapped to (a, b), the equispaced fine mesh,
+    # and the barycentric interpolant of its node values there
+    n, fine_points = 7, 33
+    report = demo(n=n, fine_points=fine_points, a=a, b=b)
+    imap = IntervalMap(a, b)
+    bas = build_basis(WeightFamily.legendre(), n)
+    assert np.array_equal(report.coarse_t, imap.forward(bas.nodes))
+    assert np.array_equal(report.fine_t, np.linspace(a, b, fine_points))
+    assert np.array_equal(report.fine_computed,
+                          interpolate(bas, imap, report.coarse_computed, report.fine_t))
