@@ -125,7 +125,10 @@ class QuadratureBasis:
 
 @dataclass(frozen=True)
 class IntervalMap:
-    """Affine map between the reference interval (-1, 1) and (a, b)."""
+    """Affine map between the reference interval (-1, 1) and (a, b).
+
+    a >= b or an infinite b - a is a bad argument (ValueError); a valid
+    interval whose half-length underflows to 0 is a NumericalError (exit 2)."""
 
     a: float
     b: float

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Numerical failures derive from NumericalError so the CLI can map them to a
-distinct exit code; bad arguments stay plain ValueError.
+distinct exit code; bad arguments stay plain ValueError (IntervalMap: a >= b is
+a bad argument, a half-length that underflows to 0 a NumericalError).
 """
 
 __all__ = [

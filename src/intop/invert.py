@@ -54,18 +54,15 @@ def laplace_invert(transform: ScalarSymbol, eig: EigenFactorization) -> np.ndarr
 
 
 def _demo_report(pipeline: str, n: int, a: float, b: float, fine_points: int,
-                 side: str, exact, solve) -> SolveReport:
-    """The frame every demo but control runs in: the order-n Legendre matrix
-    of side scaled to (a, b), the exact solution at its nodes and on
+                 exact, solve) -> SolveReport:
+    """The frame every demo but control runs in: the order-n left-running
+    Legendre matrix scaled to (a, b), the exact solution at its nodes and on
     fine_points equispaced points, then solve(scaled, fine) -> (node values,
-    metadata), interpolated to the fine mesh.
-
-    The exact columns are evaluated first, so a non-finite one is refused
-    with NumericalError before solve runs.
-    """
+    metadata), interpolated to the fine mesh. A non-finite exact column is
+    refused with NumericalError before solve runs."""
     imap = IntervalMap(a, b)
     bas = build_basis(WeightFamily.legendre(), n)
-    scaled = scale(build_integration_matrices(bas), side, imap)
+    scaled = scale(build_integration_matrices(bas), "+", imap)
     fine = np.linspace(a, b, fine_points)
     with np.errstate(all="ignore"):  # an overflow is refused just below
         coarse_exact, fine_exact = exact(scaled.xi), exact(fine)
@@ -86,7 +83,7 @@ def fourier_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     def solve(scaled, fine):
         return (np.linalg.solve(np.eye(n) + scaled.C, np.ones(n)),
                 {"transform": "1/(1-iy)", "exact_kind": "closed_form"})
-    return _demo_report("ft_invert", n, a, b, fine_points, "+",
+    return _demo_report("ft_invert", n, a, b, fine_points,
                         lambda t: np.exp(a - t), solve)
 
 
@@ -103,5 +100,5 @@ def laplace_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
     def solve(scaled, fine):
         return (laplace_invert(symbol, eigen_factorize(scaled)),
                 {"transform": "arctan(pi/s)/pi", "exact_kind": "closed_form"})
-    return _demo_report("lt_invert", n, a, b, fine_points, "+",
+    return _demo_report("lt_invert", n, a, b, fine_points,
                         lambda t: np.sinc(t - a), solve)

@@ -159,4 +159,4 @@ def tangent_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
             "converged": res.converged,
             "hermite_max_fine_error": float(np.abs(
                 hermite_refine(problem, res, scaled, fine) - np.tan(fine)).max())}
-    return _demo_report("ode", n, a, b, fine_points, "+", np.tan, solve)
+    return _demo_report("ode", n, a, b, fine_points, np.tan, solve)

@@ -131,5 +131,5 @@ def exp_kernel_demo(n: int = 5, fine_points: int = 100, a: float = 0.0,
         return result.values, {"exact_kind": "closed_form", "residual": result.residual,
                                "nonunique": result.nonunique, "sigma_min": result.sigma_min,
                                "sigma_max": result.sigma_max}
-    return _demo_report("wiener_hopf", n, a, b, fine_points, "+",
+    return _demo_report("wiener_hopf", n, a, b, fine_points,
                         lambda t: _demo_exact(t, a, b), solve_halves)
