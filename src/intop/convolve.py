@@ -3,13 +3,13 @@
 The kernel enters only through its one-sided Fourier transform: with C the
 scaled integration matrix of the matching side, the convolution values are
 symbol(+i C^{-1}) g (left-running) or symbol(-i C^{-1}) g (right-running),
-evaluated through the eigendecomposition. The side and interval are those of
-the factorization passed in; intmat.symbol_on_spectrum picks the argument
-and checks the kernel transform's region. control_response drives the
-right-running case with a damped Bessel kernel and control_inverse recovers
-the control from a wanted response. control_demo computes the response and
-its order-11 reference only: the closed form lam/d(lam) and a circulating
-misprint with an extra 1/(alpha + iy) factor are checked in the tests.
+evaluated through the eigendecomposition of the factorization passed in;
+intmat.symbol_on_spectrum picks the argument and checks the kernel
+transform's region. control_response drives the right-running case with a
+damped Bessel kernel, control_inverse recovers the control from a wanted
+response, and control_demo checks the response against its closed form. The
+rule's closed form lam/d(lam) and a circulating misprint with an extra
+1/(alpha + iy) factor are checked in the tests.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import IntervalMap, build_basis, interpolate, WeightFamily
 from .errors import NumericalError, SingularDesignError
-from .intmat import (EigenFactorization, ScalarSymbol, apply_real,
-                     build_integration_matrices, eigen_factorize, scale,
-                     symbol_on_spectrum)
+from .intmat import (EigenFactorization, ScalarSymbol, apply_real, eigen_factorize,
+                     scale, symbol_on_spectrum)
+from .invert import _demo_report
 from .report import SolveReport
+# Unused here, but perfbench/spans.py wraps them (control_demo runs in _demo_report)
+from .basis import build_basis, interpolate  # noqa: F401
+from .intmat import build_integration_matrices  # noqa: F401
 
 __all__ = [
     "ControlSpec",
@@ -34,6 +36,8 @@ __all__ = [
     "control_inverse",
     "control_demo",
 ]
+
+_MAX_THETA_NODES = 1024  # control_demo's exact column is refused past it, not allocated
 
 
 def convolve(symbol: ScalarSymbol, g: np.ndarray, eig: EigenFactorization) -> np.ndarray:
@@ -103,36 +107,37 @@ def control_inverse(spec: ControlSpec, eig: EigenFactorization, p: np.ndarray) -
     return out
 
 
-_REFERENCE_N = 11
-
-
-def _control_solution(alpha: float, beta: float, imap: IntervalMap, n: int):
-    """Order-n basis, factorization, and the response to g = e^{-beta xi}
-    with its imaginary residue."""
-    ControlSpec(alpha, beta)
-    bas = build_basis(WeightFamily.legendre(), n)
-    eig = eigen_factorize(scale(build_integration_matrices(bas), "-", imap))
-    g = _drive(beta, eig.scaled.xi)
-    phi = symbol_on_spectrum(eig, damped_bessel_symbol(alpha), "fourier")
-    response, residue = apply_real(eig, phi, g)
-    return bas, eig, response, residue
-
-
 def control_demo(n: int = 5, fine_points: int = 100, alpha: float = 1.0,
                  beta: float = 0.7, a: float = 0.0, b: float = 3.0) -> SolveReport:
-    """Control demo report; the 'exact' columns hold the order-11 reference
-    interpolated to the requested meshes (no closed form exists). The
-    metadata holds alpha, beta and the imaginary residue of the apply."""
-    imap = IntervalMap(a, b)
-    bas, eig, response, residue = _control_solution(alpha, beta, imap, n)
-    fine = np.linspace(a, b, fine_points)
-    computed_fine = interpolate(bas, imap, response, fine)
-    ref_bas, ref_response = bas, response
-    if n != _REFERENCE_N:
-        ref_bas, _, ref_response, _ = _control_solution(alpha, beta, imap, _REFERENCE_N)
-    ref_coarse = interpolate(ref_bas, imap, ref_response, eig.scaled.xi)
-    ref_fine = interpolate(ref_bas, imap, ref_response, fine)
-    meta = {"alpha": alpha, "beta": beta, "exact_kind": f"reference_n{_REFERENCE_N}",
-            "imag_residue": residue}
-    return SolveReport("control", n, a, b, eig.scaled.xi, ref_coarse,
-                       response, fine, ref_fine, computed_fine, meta)
+    """The response to e^{-beta t} through e^{alpha s} J0(s), alpha and beta
+    checked before any numerics; the metadata holds them and the imaginary
+    residue of the apply. The exact column is p(t) = e^{-beta t} F(b - t) with
+    F(L) = int_0^L e^{-cu} J0(u) du, c = alpha + beta: J0(u) = (2/pi) times
+    int_0^{pi/2} cos(u sin theta) dtheta (Watson, 2.2) makes F an integral in
+    theta of Re[(1 - e^{-cL} e^{iLs}) / (c - is)], s = sin theta, which the
+    N-point midpoint rule resolves to error ~ J_4N(L) (Trefethen and Weideman,
+    SIAM Rev. 56, 2014) at N = L/3 + 8, L = b - a capped at 40/c for c > 0."""
+    ControlSpec(alpha, beta)
+    c = alpha + beta
+
+    def exact(t):
+        nodes = (b - a if not c > 0.0 else min(b - a, 40.0 / c)) // 3.0 + 8.0
+        if not nodes <= _MAX_THETA_NODES:
+            raise NumericalError(f"exact response needs {nodes:g} > {_MAX_THETA_NODES} nodes")
+        s = np.sin((np.arange(nodes) + 0.5) * (0.5 * np.pi / nodes))
+        q = 1.0 / (c - 1j * s)  # numpy divides by scaling: c^2 would overflow past 1e154
+        length = b - t
+        cl = np.where(length > 0.0, c * length, 0.0)  # F(0) = 0 also where c overflows
+        ls = np.multiply.outer(length, s)
+        # 1 - e^{-cL} e^{iLs} = -expm1(-cL) + e^{-cL} (2 sin^2(Ls/2) - i sin(Ls))
+        f = (np.exp(-cl) * (2.0 * np.sin(0.5 * ls) ** 2 @ q.real + np.sin(ls) @ q.imag)
+             - np.expm1(-cl) * q.real.sum())
+        return np.exp(-beta * t) * f / nodes
+
+    def solve(plus, fine):
+        eig = eigen_factorize(scale(plus.source, "-", plus.imap))
+        phi = symbol_on_spectrum(eig, damped_bessel_symbol(alpha), "fourier")
+        response, residue = apply_real(eig, phi, _drive(beta, eig.scaled.xi))
+        return response, {"alpha": alpha, "beta": beta, "exact_kind": "closed_form",
+                          "imag_residue": residue}
+    return _demo_report("control", n, a, b, fine_points, exact, solve)

@@ -55,7 +55,7 @@ def laplace_invert(transform: ScalarSymbol, eig: EigenFactorization) -> np.ndarr
 
 def _demo_report(pipeline: str, n: int, a: float, b: float, fine_points: int,
                  exact, solve) -> SolveReport:
-    """The frame every demo but control runs in: the order-n left-running
+    """The frame every demo runs in: the order-n left-running
     Legendre matrix scaled to (a, b), the exact solution at its nodes and on
     fine_points equispaced points, then solve(scaled, fine) -> (node values,
     metadata), interpolated to the fine mesh. A non-finite exact column is

@@ -130,7 +130,6 @@ def restart_extend(problem: OdeProblem, scaled: ScaledMatrix, segments: int,
         raise ValueError("need at least one segment")
     edges = np.linspace(scaled.imap.a, scaled.imap.b, segments + 1)
     nodes_all = []
-    values_all = []
     parts = []
     y_start = float(problem.y0)
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -140,9 +139,8 @@ def restart_extend(problem: OdeProblem, scaled: ScaledMatrix, segments: int,
         res = picard_solve(seg_problem, seg_scaled, tol=tol, max_iter=max_iter)
         parts.append(res)
         nodes_all.append(seg_scaled.xi)
-        values_all.append(res.values)
         y_start = float(hermite_refine(seg_problem, res, seg_scaled, [hi])[0])
-    return ChainResult(np.concatenate(nodes_all), np.concatenate(values_all),
+    return ChainResult(np.concatenate(nodes_all), np.concatenate([p.values for p in parts]),
                        tuple(parts), y_start, all(p.converged for p in parts))
 
 

@@ -403,7 +403,6 @@ def conjecture_scan(family: WeightFamily, n_max: int) -> ConjectureReport:
     per_n = []
     violations = []
     inconclusive = []
-    min_re = math.inf
     for n in range(1, n_max + 1):
         try:
             mats = build_integration_matrices(build_basis(family, n))
@@ -411,14 +410,12 @@ def conjecture_scan(family: WeightFamily, n_max: int) -> ConjectureReport:
         except (NumericalError, np.linalg.LinAlgError) as exc:
             inconclusive.append({"n": n, "reason": str(exc)})
             continue
-        row_min = float(eigs.real.min())
-        min_re = min(min_re, row_min)
         per_n.append({"n": n, "eigs": [[float(e.real), float(e.imag)] for e in eigs],
-                      "min_re": row_min})
+                      "min_re": float(eigs.real.min())})
         violations.extend([n, float(e.real), float(e.imag)]
                           for e in eigs if e.real <= 0.0)
     report = ConjectureReport(family, n_max, per_n,
-                              float(min_re) if per_n else math.nan,
+                              min((row["min_re"] for row in per_n), default=math.nan),
                               violations, inconclusive)
     if family.kind == "legendre" and violations:
         raise NumericalError(

@@ -119,7 +119,7 @@ def test_criterion_05_collapse_exactness():
 def test_criterion_06_control_demo_reference_oracle_roundtrip():
     with Stopwatch(5.0):
         rep = control_demo(5)
-        print(f"  n=5 vs interpolated n=11 reference "
+        print(f"  n=5 vs the closed-form response "
               f"{rep.max_coarse_error:.3e} "
               f"(tol {THRESH['control_n5_vs_ref_coarse']:.1e})")
         assert rep.max_coarse_error <= THRESH["control_n5_vs_ref_coarse"]

@@ -130,12 +130,15 @@ def test_usage_errors_exit_one(capsys):
     ["ode", "--b", "1e300"],
     ["wiener-hopf", "--b", "30"],
     ["wiener-hopf", "--b", "1e300"],
-    # the drive e^(-beta t) and the exact e^(-t) overflow
+    # the exact response e^(-beta t) F(b - t) overflows
     ["control", "--beta=-400", "--alpha", "1e-300"],
     ["control", "--beta=-400", "--alpha", "1e-8"],
     ["control", "--beta=-400", "--alpha", "50"],
     ["control", "--alpha", "1e300", "--beta=-400"],
     ["control", "--a=-1e300", "--b=-1e299"],
+    # alpha + beta = 0 on a length of 9e299: the exact column's quadrature
+    # would need 3e299 nodes and is refused at its ceiling
+    ["control", "--alpha", "1", "--beta=-1", "--a=-1e300", "--b=-1e299"],
 ])
 def test_numerical_failure_exits_two(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "never.csv")])

@@ -2,6 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import j0
 
 from intop.basis import IntervalMap, WeightFamily, build_basis
@@ -109,6 +110,46 @@ def test_control_demo_deviations():
     # factor, is a different operator
     printed, _ = apply_real(eig, lambda lam: phi(lam) / (1.0 + 1.0 / lam), g)
     assert 0.1 < np.abs(response - printed).max() < 0.3
+
+
+@pytest.mark.parametrize("alpha, beta, a, b", [
+    (1.0, 0.7, 0.0, 3.0), (0.1, 0.7, 0.0, 30.0), (50.0, -0.5, 0.0, 3.0),
+    (1.0, 0.7, 0.5, 2.5),
+    (0.7, -0.7, 0.0, 3.0),  # alpha + beta = 0: F(L) = int_0^L J0
+])
+def test_control_exact_column_matches_quadrature(alpha, beta, a, b):
+    # p(t) = int_t^b e^{alpha (t - tau)} J0(t - tau) e^{-beta tau} dtau
+    #      = e^{-beta t} int_0^{b-t} e^{-(alpha + beta) u} J0(u) du
+    rep = control_demo(5, fine_points=100, alpha=alpha, beta=beta, a=a, b=b)
+    assert rep.metadata["exact_kind"] == "closed_form"
+    t = np.concatenate([rep.coarse_t, rep.fine_t])
+    exact = np.concatenate([rep.coarse_exact, rep.fine_exact])
+    ref = np.array([np.exp(-beta * x) * quad(lambda u: np.exp(-(alpha + beta) * u) * j0(u),
+                                             0.0, b - x, epsabs=1e-16, epsrel=1e-13,
+                                             limit=200)[0] for x in t])
+    assert np.abs(exact - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_control_demo_reports_its_true_error():
+    # the exact column is not the demo's own order-11 solve, so n = 11 reports
+    # the discretization error, not rounding
+    rep = control_demo(11)
+    assert 1e-11 < rep.max_coarse_error <= THRESH["control_n11_vs_oracle"]
+
+
+def test_control_exact_column_for_a_huge_alpha():
+    # once cL >> 1, F(L) is 1/c within a relative 1/(2 c^2); c^2 overflows
+    # at c = 1e200, so the column would read 0 if the rule squared c
+    rep = control_demo(alpha=1e200)
+    expected = np.exp(-0.7 * rep.coarse_t) / (1e200 + 0.7)
+    np.testing.assert_allclose(rep.coarse_exact, expected, rtol=1e-14, atol=0.0)
+
+
+def test_control_exact_column_where_alpha_plus_beta_overflows():
+    # c = alpha + beta = inf: F(L) <= 1/c vanishes, and F(0) = 0 at t = b
+    # must not become inf * 0
+    rep = control_demo(alpha=1e308, beta=1e308)
+    assert np.all(rep.coarse_exact == 0.0) and np.all(rep.fine_exact == 0.0)
 
 
 def test_control_spec_validation():

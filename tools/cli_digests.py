@@ -47,7 +47,9 @@ def grid() -> list[list[str]]:
     lt-invert and control refuse the eigenvector basis at n = 16, while eigs
     reports its spectrum) and once on a non-default interval; ft-invert and
     wiener-hopf, which solve with I + C and I - C, also at n = 20, 40 and 60;
-    control with non-default alpha and beta, and with alpha = 0 at n = 5 and
+    control with non-default alpha and beta, on (0, 30) at alpha = 0.1 (where
+    the length that sets its exact column's node count is capped at
+    40/(alpha + beta)) and at alpha + beta = 0, and with alpha = 0 at n = 5 and
     16 (refused before any numerics, so exit 1 even where the apply would
     refuse); ode at n = 40; eigs at n = 60; a NaN drive rate and intervals
     too long for the ode and wiener-hopf demos; drives and exact solutions
@@ -65,6 +67,8 @@ def grid() -> list[list[str]]:
     requests += [[cmd, "--a", a, "--b", b, *f]
                  for cmd, (a, b) in INTERVALS.items() for f in fmts]
     requests += [["control", "--alpha", "0.5", "--beta", "1.2", *f] for f in fmts]
+    requests += [["control", "--alpha", "0.1", "--b", "30"],
+                 ["control", "--alpha", "0.7", "--beta=-0.7"]]
     # alpha = 0 is refused before any numerics: exit 1 at n = 5 and at
     # n = 16, where the apply would be refused (exit 2)
     requests += [["control", "--n", n, "--alpha", "0"] for n in ("5", "16")]
