@@ -3,17 +3,19 @@
 Nothing in here touches the integration matrices. Quadrature is one adaptive
 bisection with QUADPACK's 21-point Gauss-Kronrod rule over a list of
 breakpoints, in the manner of its qagp: adaptive_integrate(f, a, b, tol)
-gives a definite integral, and running_integral(f, a, points, tol) gives
-int_a^x f at many x from a single bisection; both tag an (x - a)^g endpoint
-singularity with left_exponent=g. The integrand is called once on the
-Kronrod abscissae of every seed panel (one per gap between breakpoints)
-together, and once per popped panel whose halves are not yet known: on both
-halves for adaptive_integrate, and on the next three bisection levels below
-the panel for running_integral, whose integrand must be pointwise. An
-integrand may also return a (k, m) stack of k integrands on its m abscissae:
-the rows share every call, but each row keeps its own heap and stopping
-rule, so row i comes out bit for bit as it would alone. Convolutions are
-integrated pointwise.
+gives a definite integral, with optional interior breakpoints at the kinks
+of f, and running_integral(f, a, points, tol) gives int_a^x f at many x
+from a single bisection whose breakpoints are the points; both tag an
+(x - a)^g endpoint singularity with left_exponent=g, and adaptive_integrate
+maps its breakpoints through the same substitution. The integrand is called
+once on the Kronrod abscissae of every seed panel (one per gap between
+breakpoints) together, and once per popped panel whose halves are not yet
+known: on both halves for adaptive_integrate, and on the next three
+bisection levels below the panel for running_integral, whose integrand must
+be pointwise. An integrand may also return a (k, m) stack of k integrands
+on its m abscissae: the rows share every call, but each row keeps its own
+heap and stopping rule, so row i comes out bit for bit as it would alone.
+Convolutions are integrated pointwise.
 """
 
 from __future__ import annotations
@@ -61,11 +63,12 @@ _GAUSS_WEIGHTS = np.array(_WG + _WG[::-1])
 _MAX_DEPTH = 40
 # Bisection levels below a popped panel that running_integral evaluates in
 # one call (2 + 4 + 8 panels). A call costs about 50 us of numpy overhead
-# whatever its size; verify_suite(100) makes 393 / 233 / 181 / 154
-# inner calls at 1 / 2 / 3 / 4 levels, and a fourth level saves no time.
-# adaptive_integrate takes one level: verify's outer integrands cost per
-# abscissa, not per call, and three levels made check_half_line_pairing
-# take 20.6 ms instead of 5.5 ms.
+# whatever its size. verify_suite(100) makes 8 inner calls, all on seed
+# panels, at any level; with no kinks handed to its integral chain, whose
+# rows then bisect toward their roots, it makes 723 / 401 / 293 / 238 at
+# 1 / 2 / 3 / 4 levels. adaptive_integrate takes one level: verify's outer
+# integrands cost per abscissa, not per call, and three levels made
+# check_half_line_pairing take 20.6 ms instead of 5.5 ms.
 _LOOKAHEAD = 3
 _MAX_INTERVALS = 200_000
 # Roundoff floor as a multiple of eps * integral of |f| (QUADPACK's resabs).
@@ -233,14 +236,34 @@ def _desingularized(f, a: float, b: float, exponent: float, left: bool):
     return g, 0.0, (b - a) ** (1.0 + exponent)
 
 
+def _integrate(f, a: float, b: float, tol: float, pts, exponent=None,
+               left: bool = True):
+    """int_a^b f over the gaps between the sorted interior breakpoints pts,
+    desingularized at a (left) or b (right) when exponent is given, with
+    each breakpoint mapped through the same substitution as the ends; one
+    gap's value is returned as it is and several are summed per row."""
+    edges = (a, *pts, b)
+    if exponent is not None:
+        f, lo, hi = _desingularized(f, a, b, exponent, left)
+        q = 1.0 + exponent
+        edges = (lo, *sorted((p - a) ** q if left else (b - p) ** q for p in pts), hi)
+    values, err = _adaptive(f, edges, tol)
+    if len(values) == 1:
+        return values[0], err
+    if isinstance(values, list):
+        return _fsum(values), err
+    return np.array([_fsum(row) for row in values.T.tolist()]), err
+
+
 def adaptive_integrate(f, a: float, b: float, tol: float,
                        left_exponent: float | None = None,
-                       right_exponent: float | None = None):
+                       right_exponent: float | None = None,
+                       breakpoints=()):
     """int_a^b f to the absolute tolerance tol or the roundoff floor.
 
     f must accept a 1-d ndarray of abscissae and return an ndarray (real or
     complex) of the same shape. The first call holds the abscissae of the
-    seed panel and each later one those of the two halves of a popped
+    seed panels and each later one those of the two halves of a popped
     panel, so f need not be pointwise: it may itself run a
     running_integral over its abscissae (running_integral hands up to 14
     panels to one call and needs a pointwise integrand).
@@ -249,14 +272,24 @@ def adaptive_integrate(f, a: float, b: float, tol: float,
     and the integral is transformed to remove the singularity before
     bisection starts.
 
+    breakpoints are interior points where f is not smooth, such as the
+    kinks of |p| at the real roots of a polynomial p (QUADPACK qagp's
+    points). Those strictly inside (a, b) are sorted, each gap between them
+    gets its own seed panel, and the gap values are summed correctly
+    rounded; a call left with none is the call without breakpoints, bit for
+    bit. Under a tag they go through the same substitution as the ends: p
+    becomes (p - a)^(1+g) on the left and (b - p)^(1+g) on the right, and
+    with both tags each half of the midpoint split maps its own.
+
     f may instead return a (k, m) stack: k integrands on the call's m
     abscissae. value and error_estimate are then length-k arrays, and row
     i of each (its OracleError text included) is bit for bit what f's row i
     alone gives: all rows are seeded in one call, then each keeps its own
     heap and stopping rule. A row that bisects evaluates the whole stack
     for each of its panels and keeps its own row, so a stack pays off when
-    its rows converge on their seed panel, as the verify suite's polynomial
-    draws do (the Kronrod rule and its Gauss rule are exact for them).
+    its rows converge on their seed panels, as the verify suite's polynomial
+    draws do (the Kronrod rule and its Gauss rule are exact for them, and
+    breakpoints at their roots make |p| polynomial on every gap).
 
     Bisection stops once the error estimate is at or below
     max(tol, 50 * eps * integral of |f|); the second term is the roundoff
@@ -267,25 +300,28 @@ def adaptive_integrate(f, a: float, b: float, tol: float,
     would shrink a small one), a conservative bound in practice, and
     it exceeds tol when the floor decided the stop. Raises OracleError when
     bisection cannot reach the tolerance or the floor; the message gives the
-    panels used, the value reached and the floor.
+    panels used, the value reached and the floor. a, b and every breakpoint
+    must be finite (ValueError otherwise).
     """
+    pts = np.asarray(breakpoints, dtype=np.float64).ravel()
+    if not (math.isfinite(a) and math.isfinite(b) and np.isfinite(pts).all()):
+        raise ValueError("a, b and every breakpoint must be finite")
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
+    pts = sorted({p for p in pts.tolist() if a < p < b})
     if left_exponent is not None and right_exponent is not None:
         mid = 0.5 * (a + b)
-        g1, lo1, hi1 = _desingularized(f, a, mid, left_exponent, left=True)
-        g2, lo2, hi2 = _desingularized(f, mid, b, right_exponent, left=False)
-        (v1,), e1 = _adaptive(g1, (lo1, hi1), 0.5 * tol)
-        (v2,), e2 = _adaptive(g2, (lo2, hi2), 0.5 * tol)
+        v1, e1 = _integrate(f, a, mid, 0.5 * tol, [p for p in pts if p < mid],
+                            left_exponent, left=True)
+        v2, e2 = _integrate(f, mid, b, 0.5 * tol, [p for p in pts if p > mid],
+                            right_exponent, left=False)
         return v1 + v2, e1 + e2
     if left_exponent is not None:
-        f, a, b = _desingularized(f, a, b, left_exponent, left=True)
-    elif right_exponent is not None:
-        f, a, b = _desingularized(f, a, b, right_exponent, left=False)
-    (value,), err = _adaptive(f, (a, b), tol)
-    return value, err
+        return _integrate(f, a, b, tol, pts, left_exponent, left=True)
+    # untagged when right_exponent is None as well
+    return _integrate(f, a, b, tol, pts, right_exponent, left=False)
 
 
 def running_integral(f, a: float, points, tol: float,

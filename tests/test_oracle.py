@@ -3,6 +3,7 @@ import itertools
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,8 @@ from intop.basis import IntervalMap
 from intop.errors import OracleError
 from intop.oracle import (adaptive_integrate, direct_convolution,
                           load_fixtures, running_integral)
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_polynomial_and_trig_integrals():
@@ -80,6 +83,14 @@ def test_invalid_requests():
                    (0.0, [0.5, math.inf]), (-math.inf, [0.5])):
         with pytest.raises(ValueError, match="finite"):
             running_integral(np.cos, a, pts, 1e-10)
+    # nor a non-finite end or breakpoint: (0, inf) used to return (nan, nan)
+    # with a RuntimeWarning
+    for a, b, pts in ((0.0, math.inf, ()), (-math.inf, 0.0, ()), (math.nan, 1.0, ()),
+                      (0.0, math.nan, ()), (0.0, 1.0, [0.5, math.nan]),
+                      (0.0, 1.0, [math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_integrate(lambda x: np.exp(-x * x), a, b, 1e-8,
+                               breakpoints=pts)
 
 
 def test_nonintegrable_singularity_raises():
@@ -286,11 +297,14 @@ def test_batched_seeding_matches_per_gap_seeding_bit_for_bit(
     tol = 1e-10
     got_run = running_integral(f, a, pts, tol, left_exponent=left)
     got_def = adaptive_integrate(f_both, a, b, tol, left, right)
+    got_bp = adaptive_integrate(f_both, a, b, tol, left, right, breakpoints=pts)
     with mock.patch.object(oracle, "_adaptive", _reference_adaptive):
         ref_run = running_integral(f, a, pts, tol, left_exponent=left)
         ref_def = adaptive_integrate(f_both, a, b, tol, left, right)
+        ref_bp = adaptive_integrate(f_both, a, b, tol, left, right, breakpoints=pts)
     assert np.array_equal(got_run, ref_run)
     assert np.array_equal(got_def, ref_def)
+    assert np.array_equal(got_bp, ref_bp)
 
 
 def _outcome(run):
@@ -384,6 +398,76 @@ def test_adaptive_integrate_hands_its_integrand_both_children_per_call():
     assert len(calls) > 2 and calls == [21] + [2 * 21] * (len(calls) - 1)
 
 
+def _counted_panels():
+    """A stand-in for oracle._panels that records one entry per call."""
+    calls = []
+    panels = oracle._panels
+
+    def counted(f, lo, hi):
+        calls.append(len(lo))
+        return panels(f, lo, hi)
+    return calls, counted
+
+
+def test_a_breakpoint_at_the_kink_converges_on_the_seed_panels():
+    calls, counted = _counted_panels()
+    with mock.patch.object(oracle, "_panels", counted):
+        value, _ = adaptive_integrate(lambda x: np.abs(x - 0.3), -1.0, 1.0, 1e-13,
+                                      breakpoints=[0.3])
+    # |x - 0.3| is linear on each gap: 0.5 * (1.3^2 + 0.7^2) in one call
+    assert calls == [2]
+    assert abs(value - 1.09) <= 4 * EPS
+
+
+@pytest.mark.parametrize("left, right", [(None, None), (-0.5, None),
+                                         (None, -0.5), (-0.5, -0.5)])
+def test_breakpoints_outside_the_interval_change_nothing(left, right):
+    def f(x):
+        return np.abs(x - 0.3) * np.exp(x)
+
+    ref = adaptive_integrate(f, -1.0, 1.0, 1e-11, left, right)
+    for pts in ([], [-1.0, 1.0], [-3.0, -1.0, 1.0, 2.5], np.array([1.0, -1.0])):
+        got = adaptive_integrate(f, -1.0, 1.0, 1e-11, left, right, breakpoints=pts)
+        assert _bits(got) == _bits(ref)
+
+
+@pytest.mark.parametrize("left, right", [(-0.5, None), (None, -0.5), (-0.5, -0.5)])
+def test_breakpoints_are_mapped_through_the_endpoint_substitution(left, right):
+    # the kinks of |(x - 0.2)(x - 0.7)| against an x^-1/2 and/or
+    # (1 - x)^-1/2 end. With one tag the substitution u = x^(1/2) (or
+    # (1 - x)^(1/2)) makes the integrand a polynomial on every mapped gap;
+    # the kinks are not symmetric about 1/2, so mapping them through the
+    # wrong end's substitution shows
+    g, h = (left or 0.0), (right or 0.0)
+
+    def f(x):
+        return x ** g * (1.0 - x) ** h * np.abs((x - 0.2) * (x - 0.7))
+
+    with mpmath.workdps(30):
+        exact = float(mpmath.quad(lambda x: x ** g * (1 - x) ** h
+                                  * abs((x - 0.2) * (x - 0.7)), [0, 0.2, 0.7, 1]))
+    counts = []
+    for pts in ((), [0.2, 0.7]):
+        calls, counted = _counted_panels()
+        with mock.patch.object(oracle, "_panels", counted):
+            value, err = adaptive_integrate(f, 0.0, 1.0, 1e-12, left, right,
+                                            breakpoints=pts)
+        counts.append(len(calls))
+    # checked with the breakpoints only: without them, both tags leave a
+    # kink inside a panel whose Kronrod-Gauss estimate (6.7e-13) is below
+    # its error (1.4e-11)
+    assert abs(value - exact) <= 1e-12
+    assert counts[1] < counts[0]
+    if left is None or right is None:
+        assert counts[1] == 1
+    else:
+        # each half of the midpoint split maps its own breakpoint
+        v1, e1 = adaptive_integrate(f, 0.0, 0.5, 0.5e-12, left, breakpoints=[0.2])
+        v2, e2 = adaptive_integrate(f, 0.5, 1.0, 0.5e-12, None, right,
+                                    breakpoints=[0.7])
+        assert _bits((value, err)) == _bits((v1 + v2, e1 + e2))
+
+
 def test_fixtures_thresholds_cover_measured():
     fx = load_fixtures()
     thr, meas = fx["thresholds"], fx["measured"]
@@ -450,13 +534,15 @@ def test_stacked_rows_match_each_row_alone_bit_for_bit(
         lambda f: adaptive_integrate(f, a, b, tol, right_exponent=right),
         lambda f: adaptive_integrate(f, a, b, tol, left, right),
         lambda f: running_integral(f, a, pts, tol, left_exponent=left),
+        lambda f: adaptive_integrate(f, a, b, tol, breakpoints=[r] + pts),
+        lambda f: adaptive_integrate(f, a, b, tol, left, right, breakpoints=pts),
     ]
     for run in runs:
         got = _outcome(lambda: run(stack))
         ref = [_outcome(lambda: run(alone(i))) for i in range(len(rows))]
         failed = [o for o in ref if isinstance(o, str)]
         if failed:
-            assert got == failed[0] or (run is runs[3] and got in failed)
+            assert got == failed[0] or (run in (runs[3], runs[6]) and got in failed)
         elif isinstance(got, tuple):
             assert [_bits((got[0][i], got[1][i])) for i in range(len(rows))] \
                 == [_bits(o) for o in ref]

@@ -157,26 +157,95 @@ def test_integral_chain_with_weight_object():
     assert rep.lhs <= rep.mid <= rep.rhs
 
 
-def test_integral_chain_on_a_sign_changing_suite_draw():
-    # The third chain draw of verify_suite(samples=6): 6 identity draws of 9
-    # coefficients and 6 derivative draws of 7 come first. |f| has a kink
-    # inside (-1, 1), so the exact values are piecewise-polynomial integrals.
+def _suite_chain_draws(samples):
+    """verify_suite(samples)'s four chain draws (samples identity draws of 9
+    coefficients and samples derivative draws of 7 come first), and the
+    sorted real roots of each in (-1, 1)."""
     rng = np.random.default_rng(DEFAULT_SEED)
-    for size in [9] * 6 + [7] * 6 + [4] * 3:
-        coeffs = rng.standard_normal(size)
-    roots = [r.real for r in P.polyroots(coeffs)
-             if abs(r.imag) < 1e-12 and -1.0 < r.real < 1.0]
+    rng.standard_normal((samples, 9))
+    rng.standard_normal((samples, 7))
+    coeffs = rng.standard_normal((4, 4))
+    roots = [sorted(r.real for r in P.polyroots(c)
+                    if abs(r.imag) < 1e-12 and -1.0 < r.real < 1.0) for c in coeffs]
+    return coeffs, roots
+
+
+def test_integral_chain_on_a_sign_changing_suite_draw():
+    # The third chain draw of verify_suite(samples=6). |f| has a kink inside
+    # (-1, 1), so the exact values are piecewise-polynomial integrals. The
+    # kinks only save bisection: none, the roots or a wrong one (0) must
+    # all give the same values within the check's tolerance.
+    all_coeffs, all_roots = _suite_chain_draws(6)
+    coeffs, roots = all_coeffs[2], all_roots[2]
     assert roots
     anti = P.polyint(coeffs)
-    edges = np.array([-1.0] + sorted(roots) + [1.0])
+    edges = np.array([-1.0] + roots + [1.0])
     total = float(np.sum(np.abs(np.diff(P.polyval(edges, anti)))))
     signed = P.polyval(1.0, anti) - P.polyval(-1.0, anti)
-    rep = check_integral_chain(lambda x: P.polyval(x, coeffs), None, (0.0, 2.0))
-    assert rep.passed
-    # on (0, 2) the mapped function has the same integral; half_sq = 2
-    assert rep.lhs == pytest.approx(0.5 * signed ** 2, abs=1e-9)
-    assert rep.mid == pytest.approx(total ** 2, abs=1e-9)
-    assert rep.rhs == pytest.approx(2.0 * total ** 2, abs=1e-9)
+    tol = intop.verify._CHECK_TOL
+    for kinks in ((), roots, [0.0]):
+        rep = check_integral_chain(lambda x: P.polyval(x, coeffs), None,
+                                   (0.0, 2.0), kinks)
+        assert rep.passed
+        # on (0, 2) the mapped function has the same integral; half_sq = 2
+        assert rep.lhs == pytest.approx(0.5 * signed ** 2, abs=tol), kinks
+        assert rep.mid == pytest.approx(total ** 2, abs=tol), kinks
+        assert rep.rhs == pytest.approx(2.0 * total ** 2, abs=tol), kinks
+
+
+def _counted_panels(monkeypatch):
+    calls = []
+    panels = intop.oracle._panels
+
+    def counted(f, lo, hi):
+        calls.append(len(lo))
+        return panels(f, lo, hi)
+    monkeypatch.setattr(intop.oracle, "_panels", counted)
+    return calls
+
+
+def test_stacked_chain_of_the_suite_draws_converges_on_its_seeds(monkeypatch):
+    # the union of the four cubics' kinks makes |f| a polynomial on every
+    # gap of every row: lhs, mid and total each take their seed call (mid
+    # and lhs one more for the inner running integrals), 5 in all
+    coeffs, roots = _suite_chain_draws(100)
+    kinks = sorted(set().union(*roots))
+    calls = _counted_panels(monkeypatch)
+    stacked = check_integral_chain(intop.verify._horner(coeffs), None, (0.0, 2.0),
+                                   kinks)
+    assert len(calls) <= 8
+    monkeypatch.undo()
+    # each report is that of its row alone with the same kinks
+    assert stacked == tuple(check_integral_chain(intop.verify._horner(c), None,
+                                                 (0.0, 2.0), kinks) for c in coeffs)
+
+
+def test_integral_chain_kinks_under_a_tagged_weight(monkeypatch):
+    # Chebyshev tags both ends, so the kinks go through both halves'
+    # substitutions; they save panels and move no value beyond the tolerance
+    f = intop.verify._horner(P.polyfromroots([0.1, 0.3, 0.7]))
+    weight = WeightFamily.chebyshev_first()
+    calls = _counted_panels(monkeypatch)
+    plain = check_integral_chain(f, weight, (0.0, 1.0))
+    plain_calls = len(calls)
+    calls.clear()
+    kinked = check_integral_chain(f, weight, (0.0, 1.0), [0.1, 0.3, 0.7])
+    assert len(calls) < plain_calls
+    assert kinked.passed and kinked.lhs == plain.lhs
+    for got, ref in ((kinked.mid, plain.mid), (kinked.rhs, plain.rhs)):
+        assert abs(got - ref) <= intop.verify._CHECK_TOL
+
+
+def test_chain_rows_of_the_suite_meet_their_identity_to_rounding():
+    # mid = rhs / 2 in exact arithmetic: (int_0^1 |f| J|f|) = (int |f|)^2 / 2.
+    # With the kinks as breakpoints both sides are Kronrod sums of
+    # polynomials, so they agree to a few rounding errors of rhs; c = 8
+    # (measured at most 1.1 eps * rhs, and 6.1e-11 * rhs without breakpoints)
+    suite = verify_suite(100)
+    rows = suite["integral_chain"]["random_rows"]
+    assert len(rows) == 4
+    for lhs, mid, rhs in rows:
+        assert abs(mid - 0.5 * rhs) <= 8 * EPS * rhs
 
 
 def test_conjecture_scan_legendre():
@@ -291,7 +360,7 @@ def test_verify_suite_small_run():
 
 def test_verify_suite_stays_within_its_integrand_call_budget(monkeypatch):
     # one call per seed or popped panel on the 21 Kronrod abscissae, both
-    # children of an outer panel in one call: 304 integrand calls, nested
+    # children of an outer panel in one call: 42 integrand calls, nested
     # ones included
     calls = []
     panels = intop.oracle._panels
