@@ -11,16 +11,22 @@ as the discrete indefinite-integration operators there; analytic functions
 of those operators are evaluated through the eigendecomposition, applied to
 a vector by apply_real or assembled densely by matrix_function. The
 spectrum is available at any n; the two applies refuse an eigenvector basis
-whose condition number exceeds _COND_LIMIT.
+whose condition number exceeds _COND_LIMIT. Every spectrum here is sorted by
+(real, imag).
 
 Two bounded memos serve repeated requests: the matrix pair of each basis,
 and the spectral data (eigenvalues, eigenvectors, their condition number and
 inverse) of each scaled matrix, keyed on the exact content of C. A matrix
-whose eigenvector basis the applies refuse is held without an inverse.
+whose eigenvector basis the applies refuse is held without an inverse. A
+pair computes the eigenvalues of its plus matrix on the first read of its
+spectrum, never in the build, and keeps them: while the memo holds the
+pair, a repeated spectrum costs a lookup (16 n bytes, not counted against
+the memo's budget), and a pair built again computes the same bits again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -58,7 +64,9 @@ _SPECTRUM_ARGS = {("fourier", "+"): (1j, ("upper", "entire")),
 # and counted by the basis memo, not again here. The budget holds the pairs
 # that measured traffic asks for again: verify_suite's Legendre n = 1..40
 # scan, rebuilt on every call (354 KB), and the Legendre pipelines at
-# n = 5..20 (45 KB). A pair past n = 181 is returned but not held.
+# n = 5..20 (45 KB). A pair past n = 181 is returned but not held. The
+# spectrum a pair keeps once read takes 16 n bytes more and is not counted:
+# 13 KB for the scan's n = 1..40.
 _MATRIX_MEMO_BYTES = 512 * 1024
 # Bytes of spectral data held for repeated requests: an n x n scaled matrix
 # costs 32 n^2 + 16 n bytes (eigenvectors, inverse, eigenvalues). One deck of
@@ -75,6 +83,13 @@ class IntegrationMatrices:
     basis: QuadratureBasis
     plus: np.ndarray
     minus: np.ndarray
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of plus sorted by (real, imag), read-only; computed on
+        the first read and kept by this pair."""
+        lam = np.linalg.eigvals(self.plus)
+        return read_only(lam[_eig_order(lam)])
 
     def side(self, s: str) -> np.ndarray:
         if s == "+":
@@ -132,6 +147,11 @@ class ScalarSymbol:
 
     def __call__(self, z):
         return self.fn(z)
+
+
+def _eig_order(lam: np.ndarray) -> np.ndarray:
+    """The permutation that sorts eigenvalues by (real, imag)."""
+    return np.lexsort((lam.imag, lam.real))
 
 
 def _incomplete_beta(p: float, q: float, u, v):
@@ -221,7 +241,7 @@ def _eigen_data(C: np.ndarray):
     Memoized on the exact content of C, arrays read-only;
     _eigen_data.cache_clear() drops the held entries."""
     lam, X = np.linalg.eig(C)
-    order = np.lexsort((lam.imag, lam.real))
+    order = _eig_order(lam)
     lam = lam[order]
     X = X[:, order]
     X = X / np.linalg.norm(X, axis=0)[None, :]

@@ -297,8 +297,12 @@ def adaptive_integrate(f, a: float, b: float, tol: float,
     difference is rounding noise that bisection cannot shrink.
     Returns (value, error_estimate); the estimate is the heap sum of local
     |K21 - G10| differences (without QUADPACK's 1.5-power rescaling, which
-    would shrink a small one), a conservative bound in practice, and
-    it exceeds tol when the floor decided the stop. Raises OracleError when
+    would shrink a small one), and it exceeds tol when the floor decided the
+    stop. It is no bound when a kink of f sits inside a panel, where K21 and
+    G10 can agree far better than either meets the integral: for
+    x^-1/2 (1 - x)^-1/2 |(x - 0.2)(x - 0.7)| on (0, 1), both ends tagged and
+    tol 1e-12, it reads 6.7e-13 against an error of 1.38e-11, and with
+    breakpoints at 0.2 and 0.7 the error is 8.4e-15. Raises OracleError when
     bisection cannot reach the tolerance or the floor; the message gives the
     panels used, the value reached and the floor. a, b and every breakpoint
     must be finite (ValueError otherwise).

@@ -1,8 +1,12 @@
 """Quadrature verification of the operator identities; spectrum and range scans.
 
-Every check here recomputes its quantities from scratch with the adaptive
-oracle (or with plain dense eigensolves for the eigenvalue scan and the
-exact numerical range); nothing reuses the matrix pipelines being verified.
+Every quadrature check here recomputes its quantities from scratch with
+the adaptive oracle, and the exact numerical range with plain dense
+eigensolves; nothing reuses the matrix pipelines being verified. The
+eigenvalue scan reads the spectrum each matrix pair keeps
+(IntegrationMatrices.spectrum, one dense eigensolve of the plus matrix on
+the first read), so a repeated scan over pairs the matrix memo still holds
+runs no eigensolve and reports the same bits.
 Each definite integral is one adaptive_integrate call, and an inner
 indefinite integral at the abscissae of an outer rule is one
 running_integral call per evaluation of the outer integrand, not one
@@ -34,7 +38,7 @@ from numpy.polynomial import polynomial as P
 
 from .basis import IntervalMap, WeightFamily, build_basis
 from .errors import NumericalError
-from .intmat import ScaledMatrix, build_integration_matrices, scale
+from .intmat import ScaledMatrix, _eig_order, build_integration_matrices, scale
 from .oracle import adaptive_integrate, running_integral
 from .report import json_document
 
@@ -401,17 +405,14 @@ class ConjectureReport:
         return json_document(self.to_payload())
 
 
-def _sorted_eigs(matrix: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvals(matrix)
-    return eigs[np.lexsort((eigs.imag, eigs.real))]
-
-
 def conjecture_scan(family: WeightFamily, n_max: int) -> ConjectureReport:
     """Scan the spectra of the left-running matrices for n = 1..n_max.
 
-    For the flat (legendre) weight, positivity of every real part is a
-    proved fact and is asserted; any other family is evidence only — the
-    report records what was seen and never raises on a negative real part.
+    Each n reads the spectrum of its memoized pair, so pairs the memo still
+    holds are not solved again. For the flat (legendre) weight, positivity
+    of every real part is a proved fact and is asserted; any other family is
+    evidence only — the report records what was seen and never raises on a
+    negative real part.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -420,15 +421,14 @@ def conjecture_scan(family: WeightFamily, n_max: int) -> ConjectureReport:
     inconclusive = []
     for n in range(1, n_max + 1):
         try:
-            mats = build_integration_matrices(build_basis(family, n))
-            eigs = _sorted_eigs(mats.plus)
+            eigs = build_integration_matrices(build_basis(family, n)).spectrum
         except (NumericalError, np.linalg.LinAlgError) as exc:
             inconclusive.append({"n": n, "reason": str(exc)})
             continue
-        per_n.append({"n": n, "eigs": [[float(e.real), float(e.imag)] for e in eigs],
+        reals, imags = eigs.real.tolist(), eigs.imag.tolist()
+        per_n.append({"n": n, "eigs": [[r, i] for r, i in zip(reals, imags)],
                       "min_re": float(eigs.real.min())})
-        violations.extend([n, float(e.real), float(e.imag)]
-                          for e in eigs if e.real <= 0.0)
+        violations.extend([n, r, i] for r, i in zip(reals, imags) if r <= 0.0)
     report = ConjectureReport(family, n_max, per_n,
                               min((row["min_re"] for row in per_n), default=math.nan),
                               violations, inconclusive)
@@ -464,7 +464,8 @@ def numerical_range_sample(scaled: ScaledMatrix) -> RangeSample:
     support, vecs = np.linalg.eigh(0.5 * (rotated + rotated.conj().swapaxes(1, 2)))
     top = vecs[:, :, -1]
     points = np.einsum("ki,ki->k", top.conj(), top @ C.T)
-    eigvals = _sorted_eigs(C)
+    eigvals = np.linalg.eigvals(C)
+    eigvals = eigvals[_eig_order(eigvals)]
     overshoot = (phase[:, None] * eigvals).real - support[:, -1:]
     contained = bool(np.all(overshoot <= 1e-8 * support[:, -1].max()))
     min_re = float(np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0])

@@ -91,6 +91,12 @@ def test_side_region_and_interval_validation():
                  make_eig(4, 0.0, 2.0, side="-"))  # upper vs side -
 
 
+def test_control_fixture_records_the_demo_error():
+    # measured against the closed-form exact column the demo reports on
+    measured = load_fixtures()["measured"]["control_n5_vs_ref_coarse"]
+    assert control_demo(5).max_coarse_error == pytest.approx(measured, rel=1e-9)
+
+
 def test_control_demo_deviations():
     rep = control_demo(5)
     assert rep.pipeline == "control"

@@ -337,6 +337,31 @@ def test_repeated_build_returns_the_memoized_read_only_pair():
             arr[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [1, 5, 16, 40])
+def test_spectrum_is_the_sorted_eigenvalues_kept_read_only(family, n):
+    mats = build_integration_matrices(build_basis(family, n))
+    lam = np.linalg.eigvals(mats.plus)
+    expected = lam[np.lexsort((lam.imag, lam.real))]
+    spectrum = mats.spectrum
+    # bit for bit, signed zeros included
+    assert np.array_equal(spectrum.view(np.uint64), expected.view(np.uint64))
+    assert mats.spectrum is spectrum
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+
+
+def test_build_computes_no_spectrum(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or eigvals(a))
+    for family in FAMILIES:
+        for n in (1, 5, 40):
+            mats = build_integration_matrices(build_basis(family, n))
+            assert "spectrum" not in vars(mats)
+    assert calls == []
+
+
 def test_hand_built_basis_one_ulp_apart_gets_its_own_pair():
     bas = build_basis(WeightFamily.legendre(), 6)
     mats = build_integration_matrices(bas)

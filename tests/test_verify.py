@@ -11,6 +11,7 @@ import intop.verify
 from intop.basis import IntervalMap, WeightFamily, build_basis
 from intop.errors import NumericalError
 from intop.intmat import ScaledMatrix, build_integration_matrices, eigen_factorize, scale
+from intop.report import json_document
 from intop.verify import (DEFAULT_SEED, IdentityReport, check_derivative_range,
                           check_half_line_pairing, check_integral_chain,
                           check_norm_bound, check_positivity_identity,
@@ -267,6 +268,32 @@ def test_conjecture_scan_other_families_record_only():
         assert not rep.violations
 
 
+def _counted_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(a.shape) or eigvals(a))
+    return calls
+
+
+def test_a_warm_scan_runs_no_eigensolve(monkeypatch):
+    # verify_suite's scan: every pair is held, and each keeps its spectrum
+    cold = conjecture_scan(WeightFamily.legendre(), 40).json_text()
+    calls = _counted_eigvals(monkeypatch)
+    assert conjecture_scan(WeightFamily.legendre(), 40).json_text() == cold
+    assert calls == []
+
+
+def test_a_scan_past_the_matrix_memo_repeats_its_bits(monkeypatch):
+    # the n = 1..60 pairs overflow the matrix memo, so a repeated scan builds
+    # evicted pairs again and solves their spectra again
+    family = WeightFamily.chebyshev_first()
+    cold = conjecture_scan(family, 60).json_text()
+    calls = _counted_eigvals(monkeypatch)
+    assert conjecture_scan(family, 60).json_text() == cold
+    assert calls
+
+
 def test_numerical_range_contains_spectrum():
     bas = build_basis(WeightFamily.legendre(), 6)
     scaled = scale(build_integration_matrices(bas), "+", IntervalMap(0.0, 1.0))
@@ -356,6 +383,11 @@ def test_verify_suite_small_run():
     assert out["seed"] == 123 and out["samples"] == 8
     with pytest.raises(ValueError, match="need at least one sample"):
         verify_suite(samples=0)
+
+
+def test_verify_suite_reads_the_same_cold_and_warm():
+    cold = json_document(verify_suite(100))
+    assert json_document(verify_suite(100)) == cold
 
 
 def test_verify_suite_stays_within_its_integrand_call_budget(monkeypatch):

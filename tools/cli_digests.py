@@ -56,7 +56,8 @@ def grid() -> list[list[str]]:
     that overflow, and ft-invert far from the origin, whose exact solution
     e^(-(t - a)) does not (exit 0); negative values in exponent notation
     given after a space;
-    the scan and the suite; both formats throughout; and the suite as the
+    the scan and the suite; the scan for two weighted families past what
+    the matrix memo holds; both formats throughout; and the suite as the
     verify benchmark calls it, with 100 samples."""
     fmts = [("--format", fmt) for fmt in ("csv", "json")]
     requests = [["matrices", "--n", str(n), *f] for n in (1, 5, 16) for f in fmts]
@@ -95,6 +96,11 @@ def grid() -> list[list[str]]:
                  ["ode", "--a", "-1e-5", "--b", "0"], ["ft-invert", "--a", "-inf"]]
     requests += [["conjecture", "--n-max", "30", "--format", fmt]
                  for fmt in ("json", "csv")]
+    # scans whose pairs (16 n^2 bytes each, 1.2 MB for n = 1..60) overflow
+    # the matrix memo, so the repeat pass computes their spectra again; the
+    # repeated Legendre scans of conjecture and verify read held ones
+    requests += [["conjecture", "--family", "chebyshev1", "--n-max", "60"],
+                 ["conjecture", "--family", "jacobi:0.3,-0.4", "--n-max", "45"]]
     requests += [["verify", "--samples", "6", "--format", fmt]
                  for fmt in ("json", "csv")]
     requests.append(["verify", "--samples", "100", "--format", "json"])
